@@ -99,7 +99,10 @@ Validation Beff::validate() {
   return v;
 }
 
+constexpr unsigned kTraceVersion = 1;  // see Dwarf::stream_trace
+
 void Beff::stream_trace(sim::TraceWriter& out) const {
+  if (out.keyed("beff", kTraceVersion, {max_bytes_})) return;
   // Pure streaming at cache-line granularity: the device writes the
   // incoming payload once and reads it back once.
   const std::uint64_t base = 0x10000;

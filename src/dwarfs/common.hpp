@@ -144,6 +144,11 @@ class Dwarf {
   /// traces never materialise and never pay a per-access callback.
   /// Overriders should add `using Dwarf::stream_trace;` so the legacy
   /// per-access overload below stays visible on the concrete type.
+  /// An override whose addresses depend only on shape parameters opens
+  /// with `if (out.keyed(name, kTraceVersion, {params...})) return;` so the
+  /// replay memo can key the trace without generating it; kTraceVersion
+  /// must be bumped whenever the trace emitted for the same parameters
+  /// changes (DESIGN.md §8).
   virtual void stream_trace(sim::TraceWriter& out) const { (void)out; }
 
   /// Exact (or best-effort) number of accesses stream_trace will emit for

@@ -193,7 +193,13 @@ void Dwt::finish() {
   queue_->enqueue_read<float>(*data_buf_, std::span(output_));
 }
 
+constexpr unsigned kTraceVersion = 1;  // see Dwarf::stream_trace
+
 void Dwt::stream_trace(sim::TraceWriter& out) const {
+  if (out.keyed("dwt", kTraceVersion,
+                {extent_.width, extent_.height, levels_, input_.size()})) {
+    return;
+  }
   // The lifting passes in kernel order: horizontal rows (streaming reads,
   // deinterleaved writes into temp), then vertical column walks.
   const std::size_t stride = extent_.width;

@@ -180,7 +180,10 @@ Validation Fft::validate() {
   return validate_norm(output_, want, 1e-3, "fft vs double-precision CT");
 }
 
+constexpr unsigned kTraceVersion = 1;  // see Dwarf::stream_trace
+
 void Fft::stream_trace(sim::TraceWriter& out) const {
+  if (out.keyed("fft", kTraceVersion, {n_})) return;
   // One full transform: log2(n) Stockham stages ping-ponging between two
   // complex buffers, in work-item order per stage.
   const std::uint64_t base_a = 0x10000;

@@ -60,6 +60,11 @@ class Fft final : public Dwarf {
   /// Serial inverse (conjugate + forward + conjugate + 1/N).
   static void reference_ifft(std::vector<std::complex<double>>& data);
 
+  /// Transformed spectrum/signal, byte-exact.
+  [[nodiscard]] std::uint64_t result_signature() const override {
+    return hash_result<float>(output_);
+  }
+
   /// The transformed spectrum/signal (valid after finish()).
   [[nodiscard]] const std::vector<float>& output() const noexcept {
     return output_;

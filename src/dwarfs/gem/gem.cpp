@@ -371,7 +371,10 @@ Validation Gem::validate() {
   return validate_norm(potential_, want, 1e-3, "gem surface potential");
 }
 
+constexpr unsigned kTraceVersion = 1;  // see Dwarf::stream_trace
+
 void Gem::stream_trace(sim::TraceWriter& out) const {
+  if (out.keyed("gem", kTraceVersion, {mol_.atoms(), vx_.size()})) return;
   // All-pairs sweep in work-item order: each vertex re-streams the atom
   // array (which therefore lives in cache after the first vertex).  The
   // atom stream is a dense 16B-stride run, so emit_run generates it at

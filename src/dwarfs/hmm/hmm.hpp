@@ -74,6 +74,11 @@ class Hmm final : public Dwarf {
   [[nodiscard]] Validation validate() override;
   void unbind() override;
 
+  /// Re-estimated A then B matrices, byte-exact.
+  [[nodiscard]] std::uint64_t result_signature() const override {
+    return hash_result<float>(new_b_, hash_result<float>(new_a_));
+  }
+
  private:
   Params params_;
   std::size_t seq_len_ = kSeqLen;

@@ -57,16 +57,18 @@ void KMeans::configure(const Params& params) {
   SplitMix64 rng(kSeed);
   features_.resize(params_.points * params_.features);
   for (float& f : features_) f = rng.uniform(0.0f, 10.0f);
-  // Deterministic starting centroids: the first Cn points (the paper uses
-  // random starting positions; a fixed choice keeps validation exact).
-  centroids_.assign(features_.begin(),
-                    features_.begin() + params_.clusters * params_.features);
   membership_.assign(params_.points, -1);
 }
 
 void KMeans::bind(xcl::Context& ctx, xcl::Queue& q) {
   ctx_ = &ctx;
   queue_ = &q;
+  // Deterministic starting centroids: the first Cn points (the paper uses
+  // random starting positions; a fixed choice keeps validation exact).
+  // Reset on every bind because run() advances them on the host, so each
+  // bind -> run -> finish after one setup() computes the same result.
+  centroids_.assign(features_.begin(),
+                    features_.begin() + params_.clusters * params_.features);
   feature_buf_.emplace(ctx, features_.size() * sizeof(float));
   feature_buf_->named("features");
   cluster_buf_.emplace(ctx, centroids_.size() * sizeof(float));
@@ -341,17 +343,23 @@ void KMeans::unbind() {
   queue_ = nullptr;
 }
 
+constexpr unsigned kTraceVersion = 1;  // see Dwarf::stream_trace
+
 void KMeans::stream_trace(sim::TraceWriter& out) const {
+  if (out.keyed("kmeans", kTraceVersion,
+                {params_.points, params_.features, params_.clusters})) {
+    return;
+  }
   // One assign pass in program order, as §4.4.1 describes the kernel's
   // traffic: stream features, reread the small centroid block per point,
   // write membership.  Addresses are laid out as on the device.
-  const std::uint64_t feat_base = 0x10000;
-  const std::uint64_t clus_base =
-      feat_base + features_.size() * sizeof(float);
-  const std::uint64_t memb_base =
-      clus_base + centroids_.size() * sizeof(float);
   const unsigned fn = params_.features;
   const unsigned cn = params_.clusters;
+  const std::uint64_t feat_base = 0x10000;
+  const std::uint64_t clus_base =
+      feat_base + params_.points * fn * sizeof(float);
+  const std::uint64_t memb_base =
+      clus_base + std::size_t{cn} * fn * sizeof(float);
   for (std::size_t i = 0; i < params_.points; ++i) {
     for (unsigned c = 0; c < cn; ++c) {
       for (unsigned f = 0; f < fn; ++f) {

@@ -316,7 +316,10 @@ Validation Lud::validate() {
   return validate_norm(recon, input_, 1e-4, "lud L*U reconstruction");
 }
 
+constexpr unsigned kTraceVersion = 1;  // see Dwarf::stream_trace
+
 void Lud::stream_trace(sim::TraceWriter& out) const {
+  if (out.keyed("lud", kTraceVersion, {n_, B})) return;
   // Blocked factorization order: per step k, the diagonal block, the
   // perimeter row/column panels, then every interior block re-reading its
   // L/U panels -- the tiled-reuse pattern the kTiled factor models.

@@ -143,6 +143,16 @@ void Nqueens::finish() {
                                       std::span(child_counts_));
 }
 
+std::uint64_t Nqueens::result_signature() const {
+  // Slots past a node's child count are never written: keep them out.
+  std::uint64_t h = hash_result<std::uint32_t>(child_counts_);
+  for (std::size_t i = 0; i < child_counts_.size(); ++i) {
+    h = hash_result<QueenNode>(
+        std::span(children_).subspan(i * board_, child_counts_[i]), h);
+  }
+  return h;
+}
+
 Validation Nqueens::validate() {
   std::vector<QueenNode> want;
   expand_frontier_host(board_, frontier_, &want);

@@ -66,6 +66,9 @@ class Nqueens final : public Dwarf {
   [[nodiscard]] Validation validate() override;
   void unbind() override;
 
+  /// Child counts, then each node's compacted children, byte-exact.
+  [[nodiscard]] std::uint64_t result_signature() const override;
+
  private:
   unsigned board_ = kBoard;
   unsigned depth_ = kDepth;

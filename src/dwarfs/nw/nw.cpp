@@ -216,7 +216,10 @@ Validation Nw::validate() {
   return v;
 }
 
+constexpr unsigned kTraceVersion = 1;  // see Dwarf::stream_trace
+
 void Nw::stream_trace(sim::TraceWriter& out) const {
+  if (out.keyed("nw", kTraceVersion, {n_})) return;
   // One full wavefront sweep in cell order: each cell reads its three
   // score neighbours and its similarity entry, then writes its score.
   const std::size_t m = n_ + 1;

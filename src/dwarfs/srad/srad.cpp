@@ -445,7 +445,12 @@ Validation Srad::validate() {
   return validate_norm(j_out_, jr, 1e-6, "srad diffusion steps");
 }
 
+constexpr unsigned kTraceVersion = 1;  // see Dwarf::stream_trace
+
 void Srad::stream_trace(sim::TraceWriter& out) const {
+  if (out.keyed("srad", kTraceVersion, {extent_.rows, extent_.cols})) {
+    return;
+  }
   // One diffusion step: srad1's 5-point stencil reads + coefficient and
   // derivative writes, then srad2's coefficient-weighted update.
   const std::size_t rows = extent_.rows;

@@ -14,6 +14,7 @@ void mix(std::uint64_t& h, std::uint64_t x) {
 }
 
 constexpr const char* kStoreMagic = "EODMEMO1";
+constexpr const char* kKeyMagic = "EODKEY1";
 
 }  // namespace
 
@@ -73,6 +74,24 @@ void ReplayCache::store(const TraceKey& trace, std::uint64_t geometry,
   out << ' ' << (label.empty() ? "-" : label) << '\n';
 }
 
+std::optional<TraceKey> ReplayCache::find_inputs(std::uint64_t inputs) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = inputs_.find(inputs);
+  if (it == inputs_.end()) return std::nullopt;
+  return it->second;
+}
+
+void ReplayCache::store_inputs(std::uint64_t inputs, const TraceKey& key,
+                               const std::string& label) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!inputs_.emplace(inputs, key).second || disk_path_.empty()) return;
+  std::ofstream out(disk_path_, std::ios::app);
+  if (!out) return;
+  out << kKeyMagic << ' ' << std::hex << inputs << ' ' << key.content_hash
+      << ' ' << std::dec << key.accesses << ' '
+      << (label.empty() ? "-" : label) << '\n';
+}
+
 std::size_t ReplayCache::set_disk_store(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   disk_path_ = path;
@@ -90,6 +109,16 @@ std::size_t ReplayCache::set_disk_store(const std::string& path) {
     Key key{};
     ReplayMemoEntry entry;
     fields >> magic;
+    if (magic == kKeyMagic) {
+      std::uint64_t inputs = 0;
+      TraceKey trace;
+      std::string label;
+      fields >> std::hex >> inputs >> trace.content_hash >> std::dec >>
+          trace.accesses >> label;
+      // The trailing label proves the line was written whole.
+      if (fields) inputs_.emplace(inputs, trace);
+      continue;
+    }
     if (magic != kStoreMagic) continue;
     fields >> std::hex >> key.content_hash >> std::dec >> key.accesses >>
         std::hex >> key.geometry >> std::dec;
@@ -113,15 +142,34 @@ ReplayCache::Stats ReplayCache::stats() const {
 void ReplayCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
+  inputs_.clear();
   disk_path_.clear();
   stats_ = {};
 }
 
+TraceKey trace_key(const TraceGenerator& gen, const std::string& label) {
+  ReplayCache& cache = ReplayCache::instance();
+  TraceHasher hasher;
+  TraceWriter writer(hasher, cache);
+  gen(writer);
+  writer.finish();
+  if (const std::optional<TraceKey> known = writer.resolved()) {
+    if (writer.inputs() && writer.accesses() == 0) return *known;
+    // The generator went on past its resolved declaration, which therefore
+    // did not cover the whole stream: hash all of it.
+    return hash_trace(gen);
+  }
+  const TraceKey key{hasher.hash(), writer.accesses()};
+  if (const std::optional<std::uint64_t> inputs = writer.inputs()) {
+    cache.store_inputs(*inputs, key, label);
+  }
+  return key;
+}
+
 ReplayMemoEntry memoized_replay(const TraceGenerator& gen,
                                 const DeviceSpec& spec,
-                                const std::string& label,
-                                const TraceKey* precomputed) {
-  const TraceKey key = precomputed != nullptr ? *precomputed : hash_trace(gen);
+                                const std::string& label) {
+  const TraceKey key = trace_key(gen, label);
   const std::uint64_t geometry = hierarchy_geometry_hash(spec);
   ReplayCache& cache = ReplayCache::instance();
   if (auto hit = cache.find(key, geometry)) return *hit;
@@ -134,7 +182,7 @@ ReplayMemoEntry memoized_replay(const TraceGenerator& gen,
 TraceKey prime_replay_memo(const TraceGenerator& gen,
                            const std::vector<const DeviceSpec*>& specs,
                            const std::string& label) {
-  const TraceKey key = hash_trace(gen);
+  const TraceKey key = trace_key(gen, label);
   ReplayCache& cache = ReplayCache::instance();
   std::vector<const DeviceSpec*> missing;
   for (const DeviceSpec* spec : specs) {

@@ -8,6 +8,11 @@
 // hashing pass) plus a geometry hash, and can persist to a text store under
 // results/ so a second report run replays nothing at all.
 //
+// In front of the content keys sits an inputs -> TraceKey map: a dwarf's
+// stream_trace opens with TraceWriter::keyed(dwarf, version, params), and
+// once those inputs have been hashed the next trace_key() of the same
+// inputs is one lookup instead of a full generation pass.
+//
 // The disk store is opt-in (report binaries call set_disk_store); tests and
 // library code stay hermetic by default.
 #pragma once
@@ -48,13 +53,21 @@ class ReplayCache {
   void store(const TraceKey& trace, std::uint64_t geometry,
              const ReplayMemoEntry& entry, const std::string& label);
 
-  /// Binds a disk store: loads any existing entries from `path` now and
-  /// appends future store() calls to it.  Parent directories are created.
-  /// Returns the number of entries loaded.
+  /// Content key recorded for a trace's declared inputs.
+  [[nodiscard]] std::optional<TraceKey> find_inputs(
+      std::uint64_t inputs) const;
+  /// Records (idempotently) that `inputs` generate the trace `key` and,
+  /// when a disk store is bound, appends an EODKEY1 line to it.
+  void store_inputs(std::uint64_t inputs, const TraceKey& key,
+                    const std::string& label);
+
+  /// Binds a disk store: loads any existing entries and input keys from
+  /// `path` now and appends future stores to it.  Parent directories are
+  /// created.  Returns the number of (counter) entries loaded.
   std::size_t set_disk_store(const std::string& path);
 
   [[nodiscard]] Stats stats() const;
-  /// Drops all entries and unbinds the disk store (tests).
+  /// Drops all entries and input keys and unbinds the disk store (tests).
   void clear();
 
  private:
@@ -67,19 +80,23 @@ class ReplayCache {
 
   mutable std::mutex mutex_;
   std::map<Key, ReplayMemoEntry> entries_;
+  std::map<std::uint64_t, TraceKey> inputs_;
   std::string disk_path_;
   Stats stats_;
 };
 
+/// The trace's key: one memo lookup when its generator declares inputs
+/// the memo has seen, else a hashing generation pass (which records the
+/// declared inputs' key, labelled `label` in the disk store).
+TraceKey trace_key(const TraceGenerator& gen, const std::string& label);
+
 /// Replays `gen` through `spec`'s hierarchy, memoized: on a cache hit the
-/// only work is the hashing generation pass.  `precomputed` skips even that
-/// when the caller already holds the trace's key.
+/// only work is trace_key().
 ReplayMemoEntry memoized_replay(const TraceGenerator& gen,
                                 const DeviceSpec& spec,
-                                const std::string& label,
-                                const TraceKey* precomputed = nullptr);
+                                const std::string& label);
 
-/// Hashes the trace once, replays the not-yet-cached specs in one streamed
+/// Keys the trace once, replays the not-yet-cached specs in one streamed
 /// multi-hierarchy fan-out, stores them, and returns the trace key -- the
 /// cheap way to warm the memo before a per-device measurement sweep.
 TraceKey prime_replay_memo(const TraceGenerator& gen,

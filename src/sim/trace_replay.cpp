@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/replay_cache.hpp"
 #include "xcl/thread_pool.hpp"
 
 namespace eod::sim {
@@ -16,6 +17,23 @@ namespace {
 obs::Counter& g_pages_coalesced = obs::counter("replay.pages_coalesced");
 obs::Counter& g_coalesced_entries = obs::counter("replay.coalesced_entries");
 obs::Counter& g_replay_passes = obs::counter("replay.passes");
+
+/// Identity of a trace's inputs: the generating dwarf, its trace version
+/// and the parameters its addresses depend on (TraceWriter::keyed).
+std::uint64_t trace_inputs_hash(std::string_view dwarf, unsigned version,
+                                std::initializer_list<std::uint64_t> params) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    h = (h ^ (x * 0x9E3779B97F4A7C15ull)) * 0x100000001b3ull;
+    h ^= h >> 29;
+  };
+  for (const char c : dwarf) mix(static_cast<unsigned char>(c));
+  mix(dwarf.size());
+  mix(version);
+  for (const std::uint64_t p : params) mix(p);
+  mix(params.size());
+  return h;
+}
 
 }  // namespace
 
@@ -83,6 +101,19 @@ void TraceWriter::emit_run(std::uint64_t base, std::uint32_t elem_bytes,
   }
   // Tail: trailing elements that do not fill a line.
   for (; i < count; ++i) emit(base + i * elem_bytes, elem_bytes, is_write);
+}
+
+bool TraceWriter::keyed(std::string_view dwarf, unsigned version,
+                        std::initializer_list<std::uint64_t> params) {
+  const bool opens_stream = !declared_ && accesses_ == 0;
+  declared_ = true;
+  if (!opens_stream) {
+    inputs_.reset();
+    return false;
+  }
+  inputs_ = trace_inputs_hash(dwarf, version, params);
+  if (memo_ != nullptr) resolved_ = memo_->find_inputs(*inputs_);
+  return resolved_.has_value();
 }
 
 void TraceHasher::consume(const CoalescedAccess* page, std::size_t n) {

@@ -24,6 +24,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "sim/cache_sim.hpp"
@@ -33,6 +36,8 @@ class ThreadPool;
 }  // namespace eod::xcl
 
 namespace eod::sim {
+
+class ReplayCache;
 
 /// Accesses per flushed page: big enough to amortise the per-page fan-out
 /// barrier, small enough that a page of CoalescedAccess stays cache-warm.
@@ -57,6 +62,17 @@ class CoalescedSink {
   virtual void consume(const CoalescedAccess* page, std::size_t n) = 0;
 };
 
+/// Content identity of a recorded trace: order-sensitive hash over the
+/// coalesced stream plus the original access count.
+struct TraceKey {
+  std::uint64_t content_hash = 0;
+  std::uint64_t accesses = 0;
+
+  friend bool operator==(const TraceKey& a, const TraceKey& b) {
+    return a.content_hash == b.content_hash && a.accesses == b.accesses;
+  }
+};
+
 /// Buffered trace recorder the dwarfs emit into.  Writes either raw pages
 /// (legacy adapters, memory_trace()) or line-coalesced pages (replay
 /// engine), decided by which sink the writer is bound to.
@@ -66,6 +82,12 @@ class TraceWriter {
       : raw_sink_(&sink), rpage_(kTracePageAccesses) {}
   explicit TraceWriter(CoalescedSink& sink)
       : coalesced_sink_(&sink), cpage_(kTracePageAccesses) {}
+  /// A coalesced writer whose keyed() may resolve the trace from the
+  /// memo's input keys without streaming it (sim::trace_key).
+  TraceWriter(CoalescedSink& sink, const ReplayCache& memo)
+      : TraceWriter(sink) {
+    memo_ = &memo;
+  }
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
   ~TraceWriter() { finish(); }
@@ -110,11 +132,36 @@ class TraceWriter {
   /// Original (pre-coalescing) access count recorded so far.
   [[nodiscard]] std::uint64_t accesses() const noexcept { return accesses_; }
 
+  /// Declares everything that determines the trace a generator is about
+  /// to stream: the dwarf, its trace version (bumped whenever its
+  /// stream_trace changes what it emits for the same inputs) and the
+  /// parameters its addresses depend on.  Returns true when the writer's
+  /// memo already knows the trace's key: the generator must then return
+  /// without emitting.  Always false without a memo, so replay and
+  /// hash_trace() stream as before.  A declaration covers the whole
+  /// stream, so one made after an access, or a second one, voids inputs().
+  bool keyed(std::string_view dwarf, unsigned version,
+             std::initializer_list<std::uint64_t> params);
+
+  /// Hash of the declared inputs, if exactly one declaration opened the
+  /// stream.
+  [[nodiscard]] std::optional<std::uint64_t> inputs() const noexcept {
+    return inputs_;
+  }
+  /// The key keyed() found in the memo, if it returned true.
+  [[nodiscard]] std::optional<TraceKey> resolved() const noexcept {
+    return resolved_;
+  }
+
  private:
   void flush();
 
   TraceSink* raw_sink_ = nullptr;
   CoalescedSink* coalesced_sink_ = nullptr;
+  const ReplayCache* memo_ = nullptr;
+  bool declared_ = false;
+  std::optional<std::uint64_t> inputs_;
+  std::optional<TraceKey> resolved_;
   std::size_t count_ = 0;
   std::uint64_t accesses_ = 0;
   // Line span of the page's tail entry (~0 sentinels: no merge candidate).
@@ -156,17 +203,6 @@ class VectorTraceSink final : public TraceSink {
   MemoryTrace& out_;
 };
 
-/// Content identity of a recorded trace: order-sensitive hash over the
-/// coalesced stream plus the original access count.
-struct TraceKey {
-  std::uint64_t content_hash = 0;
-  std::uint64_t accesses = 0;
-
-  friend bool operator==(const TraceKey& a, const TraceKey& b) {
-    return a.content_hash == b.content_hash && a.accesses == b.accesses;
-  }
-};
-
 /// Coalesced sink that folds every entry into a content hash (a replay-free
 /// generation pass -- how the memo cache keys a trace without storing it).
 class TraceHasher final : public CoalescedSink {
@@ -178,7 +214,9 @@ class TraceHasher final : public CoalescedSink {
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-/// Runs the generator through a hashing sink and returns the trace's key.
+/// Runs the generator through a hashing sink and returns the trace's key:
+/// always a full content pass (keyed() never short-cuts it), so it doubles
+/// as the verify path of the memo's input keys.
 TraceKey hash_trace(const TraceGenerator& gen);
 
 /// Cold (first-touch) and warm (steady-state) counters of one replayed

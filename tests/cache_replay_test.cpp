@@ -7,10 +7,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "dwarfs/common.hpp"
+#include "dwarfs/registry.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/replay_cache.hpp"
@@ -395,6 +399,238 @@ TEST(ReplayCacheTest, PrimeWarmsEveryHierarchyInOnePass) {
     ASSERT_TRUE(hit.has_value()) << spec->name;
     const ReplayMemoEntry want = reference_two_pass(trace, *spec);
     expect_counters_eq(hit->warm, want.warm, spec->name + " primed");
+  }
+  ReplayCache::instance().clear();
+}
+
+// ---------------------------------------------------------------------------
+// Input keys: dwarfs whose addresses depend only on their shape parameters
+// open stream_trace with TraceWriter::keyed(), so a warm trace_key() is one
+// memo lookup instead of a generation pass.
+
+using dwarfs::ProblemSize;
+
+// Every dwarf that declares its inputs, with its content key at tiny (the
+// same keys as the EODMEMO1 tiny rows of results/replay_memo.tsv).  A
+// change here means stream_trace now emits a different trace for the same
+// inputs, which would make every recorded input key stale.
+struct KeyedDwarf {
+  const char* name;
+  TraceKey tiny;
+};
+const KeyedDwarf kKeyedDwarfs[] = {
+    {"kmeans", {0xae9319e3fbf8928bull, 66816}},
+    {"lud", {0xfe9a073bc93a51f1ull, 32000}},
+    {"gem", {0x7488152da55f5470ull, 895120}},
+    {"fft", {0x71b4a184605f850eull, 45056}},
+    {"dwt", {0x6d153124dc9054f8ull, 20448}},
+    {"srad", {0x79e25eedfd8458a3ull, 23040}},
+    {"nw", {0xf54ab5430618037dull, 11520}},
+    {"beff", {0xd673530a085f6ad1ull, 2048}},
+};
+
+/// A dwarf set up at one size, with a generator that counts its calls and
+/// the accesses they streamed.
+struct TracedDwarf {
+  TracedDwarf(const char* name, ProblemSize size)
+      : dwarf(dwarfs::create_dwarf(name)),
+        label(std::string(name) + "/" + dwarfs::to_string(size)) {
+    dwarf->setup(size);
+  }
+  TraceGenerator gen() {
+    return [this](TraceWriter& w) {
+      ++calls;
+      const std::uint64_t before = w.accesses();
+      dwarf->stream_trace(w);
+      streamed += w.accesses() - before;
+    };
+  }
+  /// Hash of the inputs stream_trace declares (nullopt: none declared).
+  [[nodiscard]] std::optional<std::uint64_t> inputs() const {
+    TraceHasher hasher;
+    TraceWriter writer(hasher);
+    dwarf->stream_trace(writer);
+    return writer.inputs();
+  }
+
+  std::unique_ptr<dwarfs::Dwarf> dwarf;
+  std::string label;
+  std::size_t calls = 0;
+  std::uint64_t streamed = 0;
+};
+
+constexpr ProblemSize kKeyedSizes[] = {ProblemSize::kTiny, ProblemSize::kSmall};
+
+std::string temp_store(const char* name) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::filesystem::remove(path);
+  return path;
+}
+
+TEST(InputKeys, GoldenContentHashAtTiny) {
+  for (const KeyedDwarf& k : kKeyedDwarfs) {
+    TracedDwarf d(k.name, ProblemSize::kTiny);
+    const TraceKey got = hash_trace(d.gen());
+    EXPECT_EQ(got.content_hash, k.tiny.content_hash)
+        << k.name << " (got 0x" << std::hex << got.content_hash << std::dec
+        << "): stream_trace changed: bump its trace version";
+    EXPECT_EQ(got.accesses, k.tiny.accesses)
+        << k.name << ": stream_trace changed: bump its trace version";
+  }
+}
+
+TEST(InputKeys, InputKeyedTraceKeyEqualsContentHash) {
+  for (const KeyedDwarf& k : kKeyedDwarfs) {
+    for (const ProblemSize size : kKeyedSizes) {
+      ReplayCache::instance().clear();
+      TracedDwarf d(k.name, size);
+      SCOPED_TRACE(d.label);
+      ASSERT_TRUE(d.inputs().has_value()) << "stream_trace declares no inputs";
+      const TraceKey content = hash_trace(d.gen());
+      EXPECT_EQ(trace_key(d.gen(), d.label), content);  // miss: hashed
+      const std::uint64_t streamed = d.streamed;
+      EXPECT_EQ(trace_key(d.gen(), d.label), content);  // hit: looked up
+      EXPECT_EQ(d.streamed, streamed);
+    }
+  }
+  ReplayCache::instance().clear();
+}
+
+TEST(InputKeys, EqualInputsExactlyWhenEqualContent) {
+  // Two independently set-up instances per (dwarf, size): every pair of
+  // configurations, across dwarfs too, agrees on inputs iff on content.
+  struct Sample {
+    std::string label;
+    std::uint64_t inputs;
+    TraceKey content;
+  };
+  std::vector<Sample> samples;
+  for (const KeyedDwarf& k : kKeyedDwarfs) {
+    for (const ProblemSize size : kKeyedSizes) {
+      for (int copy = 0; copy < 2; ++copy) {
+        TracedDwarf d(k.name, size);
+        samples.push_back({d.label, d.inputs().value(), hash_trace(d.gen())});
+      }
+    }
+  }
+  for (const Sample& a : samples) {
+    for (const Sample& b : samples) {
+      EXPECT_EQ(a.inputs == b.inputs, a.content == b.content)
+          << a.label << " vs " << b.label;
+    }
+  }
+}
+
+TEST(InputKeys, StoreRoundTripServesHitsWithoutStreaming) {
+  const std::string path = temp_store("eod_input_keys_test.tsv");
+  ReplayCache& cache = ReplayCache::instance();
+  const DeviceSpec& spec = skylake();
+  cache.clear();
+  cache.set_disk_store(path);
+  std::vector<ReplayMemoEntry> cold;
+  std::size_t keyed_cells = 0;
+  for (const KeyedDwarf& k : kKeyedDwarfs) {
+    for (const ProblemSize size : kKeyedSizes) {
+      TracedDwarf d(k.name, size);
+      if (size == ProblemSize::kTiny) {
+        cold.push_back(memoized_replay(d.gen(), spec, d.label));
+        EXPECT_EQ(d.calls, 3u) << d.label << ": one hash + two replay passes";
+      } else {
+        (void)trace_key(d.gen(), d.label);
+      }
+      ++keyed_cells;
+    }
+  }
+  std::size_t key_lines = 0;
+  {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) key_lines += line.rfind("EODKEY1 ", 0) == 0;
+  }
+  EXPECT_EQ(key_lines, keyed_cells);
+
+  // A fresh process: clear, reload, and every cell is a lookup.
+  cache.clear();
+  EXPECT_EQ(cache.set_disk_store(path), cold.size());
+  std::size_t i = 0;
+  for (const KeyedDwarf& k : kKeyedDwarfs) {
+    for (const ProblemSize size : kKeyedSizes) {
+      TracedDwarf d(k.name, size);
+      SCOPED_TRACE(d.label);
+      if (size == ProblemSize::kTiny) {
+        const ReplayMemoEntry hit = memoized_replay(d.gen(), spec, d.label);
+        expect_counters_eq(hit.cold, cold[i].cold, "reloaded cold");
+        expect_counters_eq(hit.warm, cold[i].warm, "reloaded warm");
+        EXPECT_EQ(hit.accesses, cold[i].accesses);
+        ++i;
+      } else {
+        EXPECT_EQ(trace_key(d.gen(), d.label), hash_trace(d.gen()));
+        d.streamed = 0;
+        (void)trace_key(d.gen(), d.label);
+      }
+      EXPECT_EQ(d.streamed, 0u);
+    }
+  }
+  EXPECT_EQ(cache.stats().hits, cold.size());
+  EXPECT_EQ(cache.stats().misses, 0u);
+  cache.clear();
+  std::filesystem::remove(path);
+}
+
+TEST(InputKeys, TruncatedKeyLineIsSkipped) {
+  const std::string path = temp_store("eod_input_keys_truncated.tsv");
+  {
+    std::ofstream out(path);
+    out << "EODKEY1 1a 2b 3 test/whole\n"
+        << "EODKEY1 4c 5d 6\n"  // cut before the label
+        << "EODKEY1 7e 8f\n";   // cut inside the key
+  }
+  ReplayCache& cache = ReplayCache::instance();
+  cache.clear();
+  EXPECT_EQ(cache.set_disk_store(path), 0u);
+  EXPECT_EQ(cache.find_inputs(0x1a), (TraceKey{0x2b, 3}));
+  EXPECT_FALSE(cache.find_inputs(0x4c).has_value());
+  EXPECT_FALSE(cache.find_inputs(0x7e).has_value());
+  cache.clear();
+  EXPECT_FALSE(cache.find_inputs(0x1a).has_value());
+  std::filesystem::remove(path);
+}
+
+TEST(InputKeys, DeclarationMustCoverTheWholeStream) {
+  ReplayCache::instance().clear();
+  const MemoryTrace extra = random_trace(5);
+  const auto declared = [](TraceWriter& w) {
+    return w.keyed("test", 1, {42});
+  };
+  const TraceGenerator plain = [&](TraceWriter& w) {
+    if (declared(w)) return;
+    for (const MemAccess& a : extra) w.emit(a.address, a.bytes, a.is_write);
+  };
+  // Keys the inputs {test, 1, 42} to `extra`'s content.
+  EXPECT_EQ(trace_key(plain, "test/plain"), hash_trace(plain));
+
+  // Emitting on past a resolved declaration: the lookup is not trusted.
+  const TraceGenerator overrun = [&](TraceWriter& w) {
+    (void)declared(w);
+    for (const MemAccess& a : extra) w.emit(a.address, a.bytes, a.is_write);
+    w.emit(0x40, 4, false);
+  };
+  EXPECT_EQ(trace_key(overrun, "test/overrun"), hash_trace(overrun));
+
+  // A declaration after an access, or a second one, declares nothing.
+  const TraceGenerator late = [&](TraceWriter& w) {
+    w.emit(0x40, 4, false);
+    EXPECT_FALSE(w.keyed("test", 1, {43}));
+  };
+  EXPECT_EQ(trace_key(late, "test/late"), hash_trace(late));
+  {
+    TraceHasher hasher;
+    TraceWriter writer(hasher);
+    EXPECT_FALSE(writer.keyed("test", 1, {44}));
+    EXPECT_TRUE(writer.inputs().has_value());
+    EXPECT_FALSE(writer.keyed("test", 1, {45}));
+    EXPECT_FALSE(writer.inputs().has_value());
   }
   ReplayCache::instance().clear();
 }

@@ -80,6 +80,50 @@ TEST_P(AllDwarfs, RunIsRepeatableAfterRebind) {
   }
 }
 
+/// bind -> run -> finish -> unbind on the i7-6700K; the run's signature.
+std::uint64_t bound_run(Dwarf& d, Validation& v) {
+  xcl::Context ctx(host_device());
+  xcl::Queue q(ctx);
+  d.bind(ctx, q);
+  d.run();
+  d.finish();
+  v = d.validate();
+  const std::uint64_t sig = d.result_signature();
+  d.unbind();
+  return sig;
+}
+
+TEST_P(AllDwarfs, SecondRunAfterOneSetupIsBitIdentical) {
+  // Host state a run advances must be reset by bind(): every
+  // bind -> run -> finish after one setup() computes the same output.
+  auto d = create_dwarf(GetParam());
+  d->setup(d->supported_sizes().front());
+  Validation first;
+  Validation second;
+  const std::uint64_t a = bound_run(*d, first);
+  const std::uint64_t b = bound_run(*d, second);
+  EXPECT_TRUE(first.ok) << first.detail;
+  EXPECT_TRUE(second.ok) << second.detail;
+  EXPECT_NE(a, 0u) << GetParam() << " has no result_signature()";
+  EXPECT_EQ(a, b);
+}
+
+TEST(KMeansRerun, BindResetsTheCentroidsRunAdvanced) {
+  // One round per run: a second run that started from the centroids the
+  // first one left behind would assign differently and fail validation.
+  KMeans km;
+  KMeans::Params p = KMeans::params_for(ProblemSize::kSmall);
+  p.rounds = 1;
+  km.configure(p);
+  Validation first;
+  Validation second;
+  const std::uint64_t a = bound_run(km, first);
+  const std::uint64_t b = bound_run(km, second);
+  EXPECT_TRUE(first.ok) << first.detail;
+  EXPECT_TRUE(second.ok) << second.detail;
+  EXPECT_EQ(a, b);
+}
+
 INSTANTIATE_TEST_SUITE_P(Suite, AllDwarfs,
                          ::testing::ValuesIn(benchmark_names()),
                          [](const auto& ti) { return ti.param; });

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,11 @@ struct SimdCase {
   const char* name;
   std::vector<ProblemSize> sizes;
 };
+
+// Without a printer gtest lists the parameter as its raw bytes -- the
+// address of `name` among them -- so the test's listed id would change with
+// the build layout and from run to run under address-space randomization.
+void PrintTo(const SimdCase& c, std::ostream* os) { *os << c.name; }
 
 // gem is O(vertices x atoms); its medium functional pass runs for minutes,
 // so -- like span_tier_test -- its cells stop at small.  Every size still

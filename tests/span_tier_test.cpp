@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include "dwarfs/common.hpp"
@@ -91,6 +92,11 @@ struct SpanCase {
   const char* name;
   std::vector<ProblemSize> sizes;
 };
+
+// Without a printer gtest lists the parameter as its raw bytes -- the
+// address of `name` among them -- so the test's listed id would change with
+// the build layout and from run to run under address-space randomization.
+void PrintTo(const SpanCase& c, std::ostream* os) { *os << c.name; }
 
 // gem (O(vertices x atoms)) and cwt (O(N x S x support)) grow
 // superlinearly; their medium/large functional passes run for minutes, so
@@ -176,6 +182,26 @@ TEST(SpanTierAuto, NonConvertedDwarfKeepsReferencePath) {
   EXPECT_TRUE(a.ok);
   EXPECT_EQ(a.span_groups, 0u);
   EXPECT_GT(a.other_groups, 0u);
+}
+
+// fft, hmm and nqueens run per-item kernels only: their outputs must be
+// bit-identical in every dispatch mode and from run to run.
+TEST(SpanTierAuto, ReferencePathDwarfsSignIdenticallyInEveryMode) {
+  for (const char* name : {"fft", "hmm", "nqueens"}) {
+    SCOPED_TRACE(name);
+    const RunOutcome first =
+        run_once(name, ProblemSize::kTiny, eod::xcl::DispatchMode::kItem);
+    EXPECT_TRUE(first.ok);
+    ASSERT_NE(first.signature, 0u);
+    for (const eod::xcl::DispatchMode mode :
+         {eod::xcl::DispatchMode::kItem, eod::xcl::DispatchMode::kSpan,
+          eod::xcl::DispatchMode::kSimd, eod::xcl::DispatchMode::kAuto}) {
+      const RunOutcome again = run_once(name, ProblemSize::kTiny, mode);
+      EXPECT_TRUE(again.ok);
+      EXPECT_EQ(again.signature, first.signature)
+          << eod::xcl::to_string(mode);
+    }
+  }
 }
 
 }  // namespace
