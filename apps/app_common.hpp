@@ -213,8 +213,7 @@ inline int report_partitioned(const dwarfs::Dwarf& dwarf,
     for (const harness::Shard& s : r.shards) {
       man.devices.push_back(s.device->name());
     }
-    man.dispatch = xcl::to_string(
-        cli.dispatch.value_or(xcl::default_dispatch_mode()));
+    man.dispatch = xcl::to_string(cli.dispatch);
     man.queue = xcl::to_string(xcl::QueueMode::kOutOfOrder);
     man.git_describe = obs::git_describe();
     man.timestamp = obs::utc_timestamp();

@@ -25,12 +25,11 @@ int main(int argc, char** argv) {
 
   // --max-accesses N skips any trace whose size hint exceeds N (0, the
   // default, replays everything -- gem medium/large included).
-  // --dispatch=auto|item|span|simd|checked pins the kernel tier for the
-  // functional passes below (A/B dispatch measurement; counters are
-  // tier-invariant; checked adds the §10 shadow-memory report).  The
-  // default honors the EOD_DISPATCH env hatch.
+  // --dispatch=auto|item|checked pins the kernel tier for the functional
+  // passes below (A/B dispatch measurement; counters are tier-invariant;
+  // checked adds the §10 shadow-memory report).
   std::size_t max_accesses = 0;
-  xcl::DispatchMode dispatch = xcl::default_dispatch_mode();
+  xcl::DispatchMode dispatch = xcl::DispatchMode::kAuto;
   // --trace=FILE / --metrics=FILE record the whole report run (every
   // measure() call below) into one Chrome trace / metrics snapshot.
   std::string trace_path;

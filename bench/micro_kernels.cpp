@@ -1,19 +1,22 @@
 // Kernel-tier dispatch microbench (DESIGN.md §9): the same two kernels --
 // one memory-bound (saxpy over a float stream), one compute-bound (a
-// 64-deep dependent FMA chain per item) -- executed through each of the
-// three tiers the executor offers:
+// 64-deep dependent FMA chain per item) -- executed through each tier the
+// executor offers, plus a second group-body formulation:
 //
 //   fiber  the kernel declares barriers, every group runs as a fiber set
 //   loop   the per-item reference path (--dispatch=item)
-//   span   one RangeKernelRef call per work-group over [begin, end)
+//   span   a kernel whose group body is a scalar loop, under auto: one
+//          RangeKernelRef call per work-group over [begin, end)
+//   simd   the same kernel with an explicit-vector group body
+//          (xcl/simd.hpp), also under auto
 //
 // The quantity reported is work-items/sec.  On the memory-bound kernel the
 // per-item tiers pay a std::function call plus a WorkItem construction per
-// element while the span tier runs a restrict-qualified vector loop, so
-// the gap is the dispatch overhead the span tier exists to remove
+// element while a group body runs a restrict-qualified vector loop, so
+// the gap is the dispatch overhead group bodies exist to remove
 // (acceptance target: >= 5x span vs loop).  On the compute-bound kernel
-// real work dominates and the tiers converge -- the control that shows the
-// span win is overhead elimination, not different arithmetic.
+// real work dominates and the scalar tiers converge -- the control that
+// shows the span win is overhead elimination, not different arithmetic.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -70,8 +73,9 @@ double mitems_per_second(std::size_t items, LaunchFn&& launch,
 }
 
 struct KernelSet {
-  xcl::Kernel plain;  ///< per-item body + span body (loop/span tiers)
-  xcl::Kernel fiber;  ///< same per-item body behind a barrier (fiber tier)
+  xcl::Kernel plain;   ///< per-item body + scalar group body (loop/span)
+  xcl::Kernel vector;  ///< per-item body + explicit-vector group body (simd)
+  xcl::Kernel fiber;   ///< same per-item body behind a barrier (fiber tier)
 };
 
 // y[i] = a * x[i] + y[i]: one multiply-add per 8 streamed bytes.
@@ -81,7 +85,7 @@ KernelSet memory_bound(const float* x, float* y) {
     const std::size_t i = it.global_id(0);
     y[i] = a * x[i] + y[i];
   };
-  KernelSet set{xcl::Kernel("saxpy", body),
+  KernelSet set{xcl::Kernel("saxpy", body), xcl::Kernel("saxpy_vec", body),
                 xcl::Kernel("saxpy_barrier", [=](xcl::WorkItem& it) {
                   it.barrier();
                   body(it);
@@ -92,7 +96,7 @@ KernelSet memory_bound(const float* x, float* y) {
     float* EOD_RESTRICT yp = y;
     for (std::size_t i = begin; i < end; ++i) yp[i] = a * xp[i] + yp[i];
   });
-  set.plain.simd([=](std::size_t begin, std::size_t end) {
+  set.vector.span([=](std::size_t begin, std::size_t end) {
     namespace sv = eod::xcl::simd;
     constexpr std::size_t W = sv::kLanes;
     const float* EOD_RESTRICT xp = x;
@@ -119,6 +123,7 @@ KernelSet compute_bound(const float* x, float* y) {
     y[i] = chain(x[i]);
   };
   KernelSet set{xcl::Kernel("fma_chain", body),
+                xcl::Kernel("fma_chain_vec", body),
                 xcl::Kernel("fma_chain_barrier", [=](xcl::WorkItem& it) {
                   it.barrier();
                   body(it);
@@ -131,9 +136,9 @@ KernelSet compute_bound(const float* x, float* y) {
   });
   // Explicit vectors break the per-item latency chain across lanes: each
   // lane still runs its own dependent 64-FMA chain, but W of them advance
-  // per instruction -- unlike the memory-bound kernel, the simd win here is
-  // arithmetic throughput, not dispatch overhead.
-  set.plain.simd([=](std::size_t begin, std::size_t end) {
+  // per instruction -- unlike the memory-bound kernel, the vector body's
+  // win here is arithmetic throughput, not dispatch overhead.
+  set.vector.span([=](std::size_t begin, std::size_t end) {
     namespace sv = eod::xcl::simd;
     constexpr std::size_t W = sv::kLanes;
     const float* EOD_RESTRICT xp = x;
@@ -162,36 +167,33 @@ struct TierRates {
   std::vector<double> simd_ns;
 };
 
-TierRates measure(const KernelSet& set, const xcl::Device& device) {
+TierRates measure(const KernelSet& set, const xcl::Device& device,
+                  std::size_t items) {
   TierRates r;
   {
     // Fibers engage whenever the kernel declares barriers; the override
-    // pins the per-item path so a span body (none here) can't interfere.
+    // pins the per-item path so a group body (none here) can't interfere.
     ScopedDispatchMode mode(xcl::DispatchMode::kItem);
-    const xcl::NDRange range(kFiberItems, kLocal);
+    const xcl::NDRange fiber_range(kFiberItems, kLocal);
     r.fiber = mitems_per_second(
-        kFiberItems, [&] { xcl::execute_ndrange(set.fiber, range, device); },
+        kFiberItems,
+        [&] { xcl::execute_ndrange(set.fiber, fiber_range, device); },
         &r.fiber_ns);
   }
-  const xcl::NDRange range(kMemItems, kLocal);
+  const xcl::NDRange range(items, kLocal);
   {
     ScopedDispatchMode mode(xcl::DispatchMode::kItem);
     r.loop = mitems_per_second(
-        kMemItems, [&] { xcl::execute_ndrange(set.plain, range, device); },
+        items, [&] { xcl::execute_ndrange(set.plain, range, device); },
         &r.loop_ns);
   }
-  {
-    ScopedDispatchMode mode(xcl::DispatchMode::kSpan);
-    r.span = mitems_per_second(
-        kMemItems, [&] { xcl::execute_ndrange(set.plain, range, device); },
-        &r.span_ns);
-  }
-  {
-    ScopedDispatchMode mode(xcl::DispatchMode::kSimd);
-    r.simd = mitems_per_second(
-        kMemItems, [&] { xcl::execute_ndrange(set.plain, range, device); },
-        &r.simd_ns);
-  }
+  ScopedDispatchMode mode(xcl::DispatchMode::kAuto);
+  r.span = mitems_per_second(
+      items, [&] { xcl::execute_ndrange(set.plain, range, device); },
+      &r.span_ns);
+  r.simd = mitems_per_second(
+      items, [&] { xcl::execute_ndrange(set.vector, range, device); },
+      &r.simd_ns);
   return r;
 }
 
@@ -215,39 +217,13 @@ int main() {
   std::printf("kernel-tier dispatch throughput, %zu-item groups\n", kLocal);
 
   const KernelSet mem = memory_bound(x.data(), y.data());
-  const TierRates mem_rates = measure(mem, device);
+  const TierRates mem_rates = measure(mem, device, kMemItems);
   report("memory-bound", mem_rates);
 
+  // Compute-bound grids are smaller; the items/sec normalization keeps the
+  // two kernels comparable.
   const KernelSet fma = compute_bound(x.data(), y.data());
-  TierRates fma_rates;
-  {
-    // Compute-bound grids are smaller; rebuild the rates with the right
-    // normalization by timing over kComputeItems explicitly.
-    ScopedDispatchMode mode(xcl::DispatchMode::kItem);
-    const xcl::NDRange fiber_range(kFiberItems, kLocal);
-    fma_rates.fiber = mitems_per_second(
-        kFiberItems,
-        [&] { xcl::execute_ndrange(fma.fiber, fiber_range, device); },
-        &fma_rates.fiber_ns);
-    const xcl::NDRange range(kComputeItems, kLocal);
-    fma_rates.loop = mitems_per_second(
-        kComputeItems, [&] { xcl::execute_ndrange(fma.plain, range, device); },
-        &fma_rates.loop_ns);
-  }
-  {
-    ScopedDispatchMode mode(xcl::DispatchMode::kSpan);
-    const xcl::NDRange range(kComputeItems, kLocal);
-    fma_rates.span = mitems_per_second(
-        kComputeItems, [&] { xcl::execute_ndrange(fma.plain, range, device); },
-        &fma_rates.span_ns);
-  }
-  {
-    ScopedDispatchMode mode(xcl::DispatchMode::kSimd);
-    const xcl::NDRange range(kComputeItems, kLocal);
-    fma_rates.simd = mitems_per_second(
-        kComputeItems, [&] { xcl::execute_ndrange(fma.plain, range, device); },
-        &fma_rates.simd_ns);
-  }
+  const TierRates fma_rates = measure(fma, device, kComputeItems);
   report("compute-bound", fma_rates);
 
   const double target = mem_rates.span / mem_rates.loop;
@@ -280,7 +256,7 @@ int main() {
   if (!json.write()) std::printf("warning: BENCH_kernels.json not written\n");
 
   const bool ok = target >= 5.0;
-  std::printf("%s\n", ok ? "PASS: span tier removes per-item dispatch cost"
+  std::printf("%s\n", ok ? "PASS: group bodies remove per-item dispatch cost"
                          : "FAIL: target not met");
   return ok ? 0 : 1;
 }

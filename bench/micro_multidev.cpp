@@ -14,9 +14,9 @@
 // path *regardless of device count*, so small problems are overhead-bound
 // and do not scale -- the bench runs large enough that per-block work
 // dominates, which is exactly the regime the multi-device literature
-// reports.  Dispatch is pinned to the span tier: the tier changes host
-// wall time only, never the modeled span, and span keeps the functional
-// pass fast.
+// reports.  Dispatch runs under auto, so kernels with a group body take
+// it: the tier changes host wall time only, never the modeled span, and
+// the group bodies keep the functional pass fast.
 //
 // Acceptance gate: lud 2-device modeled speedup >= 1.5x.  lud is the
 // headline because its trailing update is embarrassingly parallel across
@@ -70,7 +70,7 @@ SpanAtScale run_lud(std::size_t n_devices) {
   dwarf.configure(kLudDim);
   harness::PartitionOptions opts;
   opts.validate = false;  // signature-checked across device counts below
-  opts.dispatch = xcl::DispatchMode::kSpan;
+  opts.dispatch = xcl::DispatchMode::kAuto;
   const harness::PartitionedResult r =
       harness::run_partitioned_lud(dwarf, fleet(n_devices), opts);
   return {n_devices, r.compute_makespan_s, r.signature, true};
@@ -81,7 +81,7 @@ SpanAtScale run_nw(std::size_t n_devices) {
   dwarf.configure(kNwLength, 10);
   harness::PartitionOptions opts;
   opts.validate = true;
-  opts.dispatch = xcl::DispatchMode::kSpan;
+  opts.dispatch = xcl::DispatchMode::kAuto;
   const harness::PartitionedResult r =
       harness::run_partitioned_nw(dwarf, fleet(n_devices), opts);
   return {n_devices, r.compute_makespan_s, r.signature, r.validation.ok};

@@ -66,7 +66,7 @@ class Nw final : public Dwarf {
   /// Builds the "nw_block" kernel computing blocks (bi = lo + group,
   /// bj = d - bi) of global block-diagonal `d` on an (m x m) score matrix.
   /// Carries both the fiber wavefront body and the bit-identical row-major
-  /// span body, so every caller composes with --dispatch=span.  The
+  /// group body, so every caller composes with either dispatch mode.  The
   /// single-device sweep and the partitioned multi-device runner both
   /// launch exactly this kernel, which is what makes their results
   /// byte-exact against each other.

@@ -129,53 +129,16 @@ void Srad::run() {
     c[idx] = std::clamp(1.0f / (1.0f + den2), 0.0f, 1.0f);
     });
 
-    // Span tier for both stencil passes: a contiguous run of flat cells
-    // per call; the six planes are distinct buffers, so every pointer is
-    // restrict-qualified and the interior cells vectorize.
-    k.span([=](std::size_t lo, std::size_t hi) {
-    const float* EOD_RESTRICT jp = j.data();
-    float* EOD_RESTRICT cp = c.data();
-    float* EOD_RESTRICT dnp = dn.data();
-    float* EOD_RESTRICT dsp = ds.data();
-    float* EOD_RESTRICT dwp = dw.data();
-    float* EOD_RESTRICT dep = de.data();
-    for (std::size_t idx = base + lo, last = std::min(base + hi, limit);
-         idx < last; ++idx) {
-      const std::size_t r = idx / cols;
-      const std::size_t col = idx % cols;
-      const std::size_t rn = r == 0 ? 0 : r - 1;
-      const std::size_t rs = r == rows - 1 ? rows - 1 : r + 1;
-      const std::size_t cw = col == 0 ? 0 : col - 1;
-      const std::size_t ce = col == cols - 1 ? cols - 1 : col + 1;
-      const float jc = jp[idx];
-      const float n = jp[rn * cols + col] - jc;
-      const float s = jp[rs * cols + col] - jc;
-      const float w = jp[r * cols + cw] - jc;
-      const float e = jp[r * cols + ce] - jc;
-      dnp[idx] = n;
-      dsp[idx] = s;
-      dwp[idx] = w;
-      dep[idx] = e;
-      const float g2 = (n * n + s * s + w * w + e * e) / (jc * jc);
-      const float l = (n + s + w + e) / jc;
-      const float num = 0.5f * g2 - (1.0f / 16.0f) * l * l;
-      const float den1 = 1.0f + 0.25f * l;
-      const float qsqr = num / (den1 * den1);
-      const float den2 = (qsqr - q0) / (q0 * (1.0f + q0));
-      cp[idx] = std::clamp(1.0f / (1.0f + den2), 0.0f, 1.0f);
-    }
-    });
-
-    // Simd tier (DESIGN.md §13): W contiguous cells of one row at a time.
+    // Group body (DESIGN.md §9): W contiguous cells of one row at a time.
     // A block is vectorized only when every lane is an interior column
     // (the west/east clamps are no-ops) and the block does not cross a row
-    // boundary; edge cells take the scalar path below, which is the span
-    // body's loop verbatim.  Row clamps rn/rs are uniform across the
-    // block, so the north/south neighbours are plain shifted loads.  Every
-    // vector expression mirrors the scalar parse order, and the clamp is
-    // two mask selects with std::clamp's exact comparison semantics
-    // (including NaN and -0.0 pass-through).
-    k.simd([=](std::size_t lo, std::size_t hi) {
+    // boundary; edge cells take the scalar path below, which is the
+    // per-item body's arithmetic verbatim.  Row clamps rn/rs are uniform
+    // across the block, so the north/south neighbours are plain shifted
+    // loads.  Every vector expression mirrors the scalar parse order, and
+    // the clamp is two mask selects with std::clamp's exact comparison
+    // semantics (including NaN and -0.0 pass-through).
+    k.span([=](std::size_t lo, std::size_t hi) {
       namespace sv = xcl::simd;
       constexpr std::size_t W = sv::kLanes;
       const float* EOD_RESTRICT jp = j.data();
@@ -266,32 +229,10 @@ void Srad::run() {
       j[idx] += 0.25f * lam * d;
     });
 
-    k.span([=](std::size_t lo, std::size_t hi) {
-    float* EOD_RESTRICT jp = j.data();
-    const float* EOD_RESTRICT cp = c.data();
-    const float* EOD_RESTRICT dnp = dn.data();
-    const float* EOD_RESTRICT dsp = ds.data();
-    const float* EOD_RESTRICT dwp = dw.data();
-    const float* EOD_RESTRICT dep = de.data();
-    for (std::size_t idx = base + lo, last = std::min(base + hi, limit);
-         idx < last; ++idx) {
-      const std::size_t r = idx / cols;
-      const std::size_t col = idx % cols;
-      const std::size_t rs = r == rows - 1 ? rows - 1 : r + 1;
-      const std::size_t ce = col == cols - 1 ? cols - 1 : col + 1;
-      const float cc = cp[idx];
-      const float cs = cp[rs * cols + col];
-      const float cev = cp[r * cols + ce];
-      const float d =
-          cc * dnp[idx] + cs * dsp[idx] + cc * dwp[idx] + cev * dep[idx];
-      jp[idx] += 0.25f * lam * d;
-    }
-    });
-
-    // Simd tier: same blocking rule as srad_cuda_1 -- W interior cells of
+    // Group body: same blocking rule as srad_cuda_1 -- W interior cells of
     // one row per step, scalar elsewhere.  Only the east/south neighbours
     // matter here, so the column guard is one-sided.
-    k.simd([=](std::size_t lo, std::size_t hi) {
+    k.span([=](std::size_t lo, std::size_t hi) {
       namespace sv = xcl::simd;
       constexpr std::size_t W = sv::kLanes;
       float* EOD_RESTRICT jp = j.data();

@@ -1,10 +1,6 @@
 #include "harness/autotune.hpp"
 
 #include <algorithm>
-#include <cstdint>
-
-#include "scibench/timer.hpp"
-#include "xcl/executor.hpp"
 
 namespace eod::harness {
 
@@ -41,45 +37,6 @@ TuneResult autotune_work_group(const xcl::Device& device,
                     profile})};
   }
   return results.front();
-}
-
-std::vector<TierTuneResult> sweep_dispatch_tiers(const xcl::Kernel& kernel,
-                                                 const xcl::NDRange& range,
-                                                 const xcl::Device& device,
-                                                 int reps) {
-  std::vector<xcl::DispatchMode> candidates{xcl::DispatchMode::kItem};
-  if (kernel.has_span()) candidates.push_back(xcl::DispatchMode::kSpan);
-  if (kernel.has_simd()) candidates.push_back(xcl::DispatchMode::kSimd);
-
-  struct ModeGuard {
-    xcl::DispatchMode prev = xcl::dispatch_mode();
-    ~ModeGuard() { xcl::set_dispatch_mode(prev); }
-  } guard;
-
-  std::vector<TierTuneResult> results;
-  for (const xcl::DispatchMode mode : candidates) {
-    xcl::set_dispatch_mode(mode);
-    xcl::execute_ndrange(kernel, range, device);  // warmup
-    std::uint64_t best = ~std::uint64_t{0};
-    for (int i = 0; i < std::max(1, reps); ++i) {
-      const std::uint64_t t0 = scibench::now_ns();
-      xcl::execute_ndrange(kernel, range, device);
-      const std::uint64_t t1 = scibench::now_ns();
-      best = std::min(best, t1 - t0);
-    }
-    results.push_back({mode, static_cast<double>(best) * 1e-9});
-  }
-  std::sort(results.begin(), results.end(),
-            [](const TierTuneResult& a, const TierTuneResult& b) {
-              return a.seconds < b.seconds;
-            });
-  return results;
-}
-
-TierTuneResult autotune_dispatch_tier(const xcl::Kernel& kernel,
-                                      const xcl::NDRange& range,
-                                      const xcl::Device& device, int reps) {
-  return sweep_dispatch_tiers(kernel, range, device, reps).front();
 }
 
 }  // namespace eod::harness

@@ -164,8 +164,8 @@ std::string usage(const std::string& program) {
          "report path in the manifest\n"
          "--queue ooo lets dependency-expressed dwarfs overlap transfers\n"
          "with compute (EOD_QUEUE=ooo sets the default without the flag)\n"
-         "--dispatch simd runs hand-vectorized kernel bodies where a dwarf\n"
-         "provides one (EOD_DISPATCH pins the tier without the flag)\n"
+         "--dispatch item pins the per-item reference bodies; checked runs\n"
+         "them under the shadow-memory checker\n"
          "--devices partitions supporting dwarfs (nw, lud) across several\n"
          "simulated devices over the modeled interconnect (DESIGN.md 14)\n";
 }

@@ -32,11 +32,9 @@ struct CliOptions {
   bool validate = false;
   bool all_devices = false;  ///< sweep the whole testbed
   bool long_table = false;   ///< emit the R-compatible long table
-  /// --dispatch auto|item|span|simd|checked: kernel-tier override for A/B
-  /// runs (DESIGN.md §9, §13); item pins the per-item reference path, simd
-  /// selects hand-vectorized bodies.  Unset defers to
-  /// default_dispatch_mode() (the EOD_DISPATCH env hatch).
-  std::optional<xcl::DispatchMode> dispatch;
+  /// --dispatch auto|item|checked: kernel-tier override for A/B runs
+  /// (DESIGN.md §9, §10); item pins the per-item reference path.
+  xcl::DispatchMode dispatch = xcl::DispatchMode::kAuto;
   /// --queue inorder|ooo: measurement-queue execution mode (DESIGN.md §12).
   /// Unset defers to default_queue_mode() (the EOD_QUEUE env hatch).
   std::optional<xcl::QueueMode> queue_mode;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 
 #include "dwarfs/beff/beff.hpp"
 #include "xcl/buffer.hpp"
@@ -28,8 +29,8 @@ double halo_link_seconds(const xcl::Device& src, const xcl::Device& dst,
 /// Dispatch-tier override scoped like harness::measure()'s.
 struct DispatchGuard {
   xcl::DispatchMode prev = xcl::dispatch_mode();
-  explicit DispatchGuard(const std::optional<xcl::DispatchMode>& mode) {
-    xcl::set_dispatch_mode(mode.value_or(xcl::default_dispatch_mode()));
+  explicit DispatchGuard(xcl::DispatchMode mode) {
+    xcl::set_dispatch_mode(mode);
   }
   ~DispatchGuard() { xcl::set_dispatch_mode(prev); }
 };

@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "dwarfs/lud/lud.hpp"
@@ -75,9 +74,9 @@ struct Shard {
 struct PartitionOptions {
   /// Run the serial-reference comparison on the assembled output.
   bool validate = false;
-  /// Kernel-tier override for the partitioned launches (e.g. span); unset
-  /// defers to default_dispatch_mode(), exactly like harness::measure().
-  std::optional<xcl::DispatchMode> dispatch;
+  /// Kernel-tier override for the partitioned launches, exactly like
+  /// harness::measure()'s.
+  xcl::DispatchMode dispatch = xcl::DispatchMode::kAuto;
 };
 
 /// What a partitioned run produced, on the shared modeled timebase.

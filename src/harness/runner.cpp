@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <optional>
@@ -95,11 +94,7 @@ Measurement measure(dwarfs::Dwarf& dwarf, dwarfs::ProblemSize size,
   }
 
   // Tier override for the functional pass, restored on every exit path.
-  // An unset option defers to default_dispatch_mode(), so `EOD_DISPATCH=simd
-  // ctest` steers every measurement in the suite without the runner
-  // stomping the hatch with kAuto.
-  const xcl::DispatchMode dispatch =
-      options.dispatch.value_or(xcl::default_dispatch_mode());
+  const xcl::DispatchMode dispatch = options.dispatch;
   struct DispatchModeGuard {
     xcl::DispatchMode prev = xcl::dispatch_mode();
     ~DispatchModeGuard() { xcl::set_dispatch_mode(prev); }
@@ -296,9 +291,6 @@ Measurement measure(dwarfs::Dwarf& dwarf, dwarfs::ProblemSize size,
       manifest.device = m.device;
       manifest.devices = {m.device};
       manifest.dispatch = xcl::to_string(dispatch);
-      if (const char* env = std::getenv("EOD_DISPATCH")) {
-        manifest.dispatch_env = env;
-      }
       manifest.queue = xcl::to_string(queue.mode());
       manifest.seed = options.seed;
       manifest.git_describe = obs::git_describe();

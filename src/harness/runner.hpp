@@ -49,14 +49,11 @@ struct MeasureOptions {
   /// either replayed fully or not at all.
   std::size_t max_trace_accesses = 0;
   /// Kernel-tier override for this group's functional execution (the
-  /// --dispatch= flag): kAuto/kSpan take the span tier where legal, kItem
-  /// pins the per-item reference path for A/B runs, kSimd selects
-  /// hand-vectorized bodies (DESIGN.md §13), kChecked runs the functional
-  /// pass under a CheckSession (DESIGN.md §10) and attaches the resulting
-  /// CheckReport to the Measurement.  Restored afterwards.  nullopt defers
-  /// to default_dispatch_mode() (kAuto unless the EOD_DISPATCH env hatch
-  /// says otherwise), mirroring queue_mode.
-  std::optional<xcl::DispatchMode> dispatch;
+  /// --dispatch= flag): kAuto takes a kernel's group body where legal,
+  /// kItem pins the per-item reference path for A/B runs, kChecked runs
+  /// the functional pass under a CheckSession (DESIGN.md §10) and attaches
+  /// the resulting CheckReport to the Measurement.  Restored afterwards.
+  xcl::DispatchMode dispatch = xcl::DispatchMode::kAuto;
   /// Queue execution mode for the measurement queue (the --queue= flag):
   /// kInOrder serialises commands exactly as the paper's testbed drivers
   /// did; kOutOfOrder lets dependency-expressed dwarfs overlap transfers

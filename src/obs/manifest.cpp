@@ -89,7 +89,6 @@ std::string RunManifest::to_json(const MetricsSnapshot& metrics) const {
   }
   out += "],\n";
   out += "  \"dispatch\": " + str(dispatch) + ",\n";
-  out += "  \"dispatch_env\": " + str(dispatch_env) + ",\n";
   out += "  \"queue\": " + str(queue) + ",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"git_describe\": " + str(git_describe) + ",\n";

@@ -23,10 +23,6 @@ struct RunManifest {
   /// multi-device runs (DESIGN.md §14).
   std::vector<std::string> devices;
   std::string dispatch;  ///< kernel tier the functional pass ran under
-  /// Value of the EOD_DISPATCH env hatch at measurement time (empty when
-  /// unset); recorded so a manifest can distinguish "tier chosen by flag"
-  /// from "tier pinned by the environment".
-  std::string dispatch_env;
   std::string queue;  ///< queue mode ("inorder" | "ooo")
   std::uint64_t seed = 0;
 

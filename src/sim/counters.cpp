@@ -103,8 +103,8 @@ std::string describe_executor_stats(const xcl::ExecutorStats& stats) {
   os << "  launches            " << stats.launches << '\n';
   os << "  work-groups run     " << stats.tasks_executed << " ("
      << stats.groups_loop << " loop, " << stats.groups_fiber << " fiber, "
-     << stats.groups_span << " span, " << stats.groups_simd << " simd, "
-     << stats.groups_checked << " checked)\n";
+     << stats.groups_span << " span, " << stats.groups_checked
+     << " checked)\n";
   os << "  chunks claimed      " << stats.chunks_claimed << '\n';
   os << "  chunks stolen       " << stats.chunks_stolen << '\n';
   os << "  arena high-water    " << stats.arena_bytes_hwm << " B\n";

@@ -2,8 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 
 #include "obs/metrics.hpp"
@@ -18,11 +16,8 @@ namespace eod::xcl {
 namespace {
 
 // Tier-selection override; relaxed is enough -- callers set it between
-// launches, never concurrently with one.  -1 means "never set": the first
-// dispatch_mode() read then resolves the EOD_DISPATCH environment hatch via
-// default_dispatch_mode(), so a process that never calls set_dispatch_mode
-// still honors the env without an init-order dependency.
-std::atomic<int> g_dispatch_mode{-1};
+// launches, never concurrently with one.
+std::atomic<DispatchMode> g_dispatch_mode{DispatchMode::kAuto};
 
 // Tier observability now lives in the process metrics registry
 // (DESIGN.md §11); ExecutorStats is a typed view over these instruments.
@@ -31,7 +26,6 @@ std::atomic<int> g_dispatch_mode{-1};
 obs::Counter& g_groups_loop = obs::counter("executor.groups_loop");
 obs::Counter& g_groups_fiber = obs::counter("executor.groups_fiber");
 obs::Counter& g_groups_span = obs::counter("executor.groups_span");
-obs::Counter& g_groups_simd = obs::counter("executor.groups_simd");
 obs::Counter& g_groups_checked = obs::counter("executor.groups_checked");
 obs::Counter& g_launches = obs::counter("executor.ndrange_launches");
 obs::Gauge& g_arena_hwm = obs::gauge("executor.arena_bytes_hwm");
@@ -120,27 +114,15 @@ void run_group_fibers(const Kernel& kernel, const GroupCoords& g,
   });
 }
 
-// A launch may take the span tier when the kernel carries a span body, the
+// A launch may take the group body when the kernel carries one, the
 // override does not force the per-item reference path, and the range is
 // effectively 1-D, so each group covers one contiguous [begin, end) run of
-// flat global ids.  Span bodies never touch the __local arena or the
+// flat global ids.  Group bodies never touch the __local arena or the
 // barrier hook: a kernel whose group semantics depend on them supplies a
-// span body only if it reproduces those semantics itself (DESIGN.md §9).
+// group body only if it reproduces those semantics itself (DESIGN.md §9).
 bool span_legal(const Kernel& kernel, const NDRange& range,
                 DispatchMode mode) {
-  return kernel.has_span() && mode != DispatchMode::kItem &&
-         mode != DispatchMode::kChecked && range.global(1) == 1 &&
-         range.global(2) == 1;
-}
-
-// The simd tier is never auto-selected: only an explicit kSimd (CLI flag or
-// EOD_DISPATCH) engages the hand-vectorized body.  Same 1-D contiguity
-// requirement as span; kernels without a simd body fall through to the
-// span-legality check above, so `--dispatch=simd` on a mixed workload runs
-// each kernel on the best tier it offers.
-bool simd_legal(const Kernel& kernel, const NDRange& range,
-                DispatchMode mode) {
-  return kernel.has_simd() && mode == DispatchMode::kSimd &&
+  return kernel.has_span() && mode == DispatchMode::kAuto &&
          range.global(1) == 1 && range.global(2) == 1;
 }
 
@@ -148,22 +130,18 @@ bool simd_legal(const Kernel& kernel, const NDRange& range,
 
 DispatchMode dispatch_mode() noexcept {
   // lint: relaxed-ok(mode flag is a plain value; no data is published via it)
-  const int raw = g_dispatch_mode.load(std::memory_order_relaxed);
-  if (raw < 0) return default_dispatch_mode();
-  return static_cast<DispatchMode>(raw);
+  return g_dispatch_mode.load(std::memory_order_relaxed);
 }
 
 void set_dispatch_mode(DispatchMode mode) noexcept {
   // lint: relaxed-ok(mode flag is a plain value; no data is published via it)
-  g_dispatch_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
+  g_dispatch_mode.store(mode, std::memory_order_relaxed);
 }
 
 std::optional<DispatchMode> parse_dispatch_mode(
     std::string_view name) noexcept {
   if (name == "auto") return DispatchMode::kAuto;
   if (name == "item") return DispatchMode::kItem;
-  if (name == "span") return DispatchMode::kSpan;
-  if (name == "simd") return DispatchMode::kSimd;
   if (name == "checked") return DispatchMode::kChecked;
   return std::nullopt;
 }
@@ -172,10 +150,6 @@ const char* to_string(DispatchMode mode) noexcept {
   switch (mode) {
     case DispatchMode::kItem:
       return "item";
-    case DispatchMode::kSpan:
-      return "span";
-    case DispatchMode::kSimd:
-      return "simd";
     case DispatchMode::kChecked:
       return "checked";
     case DispatchMode::kAuto:
@@ -184,22 +158,7 @@ const char* to_string(DispatchMode mode) noexcept {
   return "auto";
 }
 
-const char* dispatch_mode_names() noexcept {
-  return "auto|item|span|simd|checked";
-}
-
-DispatchMode default_dispatch_mode() {
-  static const DispatchMode mode = [] {
-    if (const char* v = std::getenv("EOD_DISPATCH")) {
-      if (auto parsed = parse_dispatch_mode(v)) return *parsed;
-      std::fprintf(stderr, "EOD_DISPATCH=%s is not a dispatch mode (%s)\n", v,
-                   dispatch_mode_names());
-      std::exit(2);
-    }
-    return DispatchMode::kAuto;
-  }();
-  return mode;
-}
+const char* dispatch_mode_names() noexcept { return "auto|item|checked"; }
 
 void execute_ndrange(const Kernel& kernel, const NDRange& range,
                      const Device& device, ThreadPool* pool) {
@@ -211,7 +170,7 @@ void execute_ndrange(const Kernel& kernel, const NDRange& range,
 
   // Checker tier (DESIGN.md §10): while a session is active every launch
   // runs serially through the shadow-memory instrumentation, regardless of
-  // span legality -- the session pins DispatchMode::kChecked, but the
+  // group-body legality -- the session pins DispatchMode::kChecked, but the
   // session pointer, not the mode, is authoritative (kChecked without a
   // session degrades to the per-item reference path below).
   if (check::CheckSession* session = check::CheckSession::active()) {
@@ -223,23 +182,6 @@ void execute_ndrange(const Kernel& kernel, const NDRange& range,
   }
 
   const DispatchMode mode = dispatch_mode();
-  if (simd_legal(kernel, range, mode)) {
-    // Same shape as the span fast path below: one RangeKernelRef call per
-    // group, no std::function on the hot path -- only the body differs
-    // (explicit vectors instead of an autovectorizable loop).
-    const Kernel::SpanBody& body = kernel.simd_body();
-    const RangeKernelRef simd = body;
-    const std::size_t lx = range.local(0);
-    obs::TraceSpan launch_span(kernel.name().c_str(), "launch:simd",
-                               "groups", static_cast<double>(groups));
-    tp.parallel_for(groups, [simd, lx](std::size_t flat) {
-      obs::TraceSpan group_span("group:simd", "executor");
-      simd(flat * lx, (flat + 1) * lx);
-      g_groups_simd.add(1);
-    });
-    return;
-  }
-
   if (span_legal(kernel, range, mode)) {
     // Hoist the std::function indirection out of the per-group path: the
     // workers call through a two-pointer RangeKernelRef only.
@@ -292,7 +234,6 @@ ExecutorStats executor_stats() {
   s.groups_loop = g_groups_loop.value();
   s.groups_fiber = g_groups_fiber.value();
   s.groups_span = g_groups_span.value();
-  s.groups_simd = g_groups_simd.value();
   s.groups_checked = g_groups_checked.value();
   s.arena_bytes_hwm = static_cast<std::uint64_t>(g_arena_hwm.value());
   s.fiber_stacks_created = fiber_stacks_created();
@@ -305,7 +246,6 @@ void reset_executor_stats() {
   g_groups_loop.reset();
   g_groups_fiber.reset();
   g_groups_span.reset();
-  g_groups_simd.reset();
   g_groups_checked.reset();
   g_launches.reset();
   g_arena_hwm.reset();

@@ -2,15 +2,15 @@
 // records in the paper) plus the C++ callable body and launch attributes.
 //
 // A kernel always carries a per-item body (the reference semantics: one
-// call per work-item, full WorkItem context).  It may additionally carry a
-// *span* body -- a whole-group formulation called once per work-group with
-// the contiguous [begin, end) run of flat global ids that group covers.
-// The span tier is the vectorization story of DESIGN.md §9: a single call
-// per group amortizes all dispatch overhead and hands the compiler a
-// contiguous counted loop over EOD_RESTRICT-qualified pointers that it can
-// auto-vectorize, while the per-item body remains as the bit-identical
-// reference path (and the only path for non-1-D ranges or when the
-// dispatch-mode override forces per-item execution).
+// call per work-item, full WorkItem context).  It may additionally carry
+// one *group* body, registered through span() -- a whole-group formulation
+// called once per work-group with the contiguous [begin, end) run of flat
+// global ids that group covers.  A group body is the vectorization story
+// of DESIGN.md §9: a single call per group amortizes all dispatch
+// overhead, and the body is free to loop over EOD_RESTRICT-qualified
+// pointers or the explicit vectors of xcl/simd.hpp.  The per-item body
+// remains the bit-identical reference path (and the only path for non-1-D
+// ranges or when the dispatch mode forces per-item execution).
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,7 @@
 
 #include "xcl/work_item.hpp"
 
-// Restrict qualifier for the raw pointers span bodies loop over; standard
+// Restrict qualifier for the raw pointers group bodies loop over; standard
 // C++ has no `restrict`, but every toolchain we build with spells it this
 // way (MSVC spells it __restrict).
 #if defined(_MSC_VER)
@@ -32,9 +32,9 @@
 
 namespace eod::xcl {
 
-/// Non-owning reference to a span-kernel callable: two raw pointers,
+/// Non-owning reference to a group-body callable: two raw pointers,
 /// trivially copyable, same idiom as GroupFnRef (fiber.hpp).  The executor
-/// materializes one per launch from the kernel's stored span body and
+/// materializes one per launch from the kernel's stored group body and
 /// passes it by value into the per-group dispatch, so the hot path never
 /// touches std::function.
 class RangeKernelRef {
@@ -78,23 +78,13 @@ class Kernel {
     return *this;
   }
 
-  /// Registers the span-tier formulation.  The author asserts it computes
-  /// bit-identical results to running the per-item body over the same
-  /// group (including, for barrier kernels, any intra-group ordering the
-  /// barriers enforced -- see DESIGN.md §9 for the legality rules).
+  /// Registers the group body (the one whole-group formulation a kernel
+  /// may carry).  The author asserts it computes bit-identical results to
+  /// running the per-item body over the same group, scalar tail included
+  /// (and, for barrier kernels, any intra-group ordering the barriers
+  /// enforced -- see DESIGN.md §9 for the legality rules).
   Kernel& span(SpanBody body) {
     span_body_ = std::move(body);
-    return *this;
-  }
-
-  /// Registers the explicit-SIMD formulation (DESIGN.md §13): same
-  /// whole-group [begin, end) contract as span(), but the body is written
-  /// with the portable vectors of xcl/simd.hpp rather than relying on the
-  /// autovectorizer.  Same determinism promise as span(): bit-identical
-  /// results to the per-item reference body, including the scalar tail.
-  /// Only the kSimd dispatch mode selects this body.
-  Kernel& simd(SpanBody body) {
-    simd_body_ = std::move(body);
     return *this;
   }
 
@@ -107,18 +97,11 @@ class Kernel {
   [[nodiscard]] const SpanBody& span_body() const noexcept {
     return span_body_;
   }
-  [[nodiscard]] bool has_simd() const noexcept {
-    return static_cast<bool>(simd_body_);
-  }
-  [[nodiscard]] const SpanBody& simd_body() const noexcept {
-    return simd_body_;
-  }
 
  private:
   std::string name_;
   Body body_;
   SpanBody span_body_;
-  SpanBody simd_body_;
   bool uses_barriers_ = false;
 };
 

@@ -1,5 +1,5 @@
-// Portable explicit-SIMD primitives for simd-tier kernel bodies
-// (DESIGN.md §13).  The span tier hands the autovectorizer a clean counted
+// Portable explicit-SIMD primitives for kernel group bodies (DESIGN.md
+// §9).  A scalar group body hands the autovectorizer a clean counted
 // loop; this header is for the loops the autovectorizer still misses --
 // gathers, per-lane masks, data-dependent accumulation.  Kernel authors
 // write width-agnostic code against `vfloat`/`vint32`/`vuint32` and the
@@ -12,8 +12,8 @@
 // operation provided here is element-wise IEEE arithmetic or exact
 // bit/select logic -- no horizontal reductions, no FMA contraction beyond
 // what the scalar body would see under the same flags -- which is what lets
-// a simd body promise bit-identical results to the per-item reference path
-// (the determinism contract of DESIGN.md §13).
+// a vector group body promise bit-identical results to the per-item
+// reference path (the determinism contract of DESIGN.md §9).
 //
 // Width gate: define EOD_SIMD_WIDTH to 1/4/8/16 to pin the lane count
 // (floats per vector).  Unset, it defaults to the widest unit the target
@@ -121,7 +121,7 @@ inline void vstore_u32(std::uint32_t* p, vuint32 v) noexcept {
 #endif
 }
 
-#else  // scalar fallback: same surface, one lane, so simd bodies compile
+#else  // scalar fallback: same surface, one lane, so vector bodies compile
        // (and run the reference arithmetic) on any toolchain.
 
 struct vfloat {

@@ -124,7 +124,9 @@ void ThreadPool::worker_loop(unsigned slot) {
       if (stop_.load(std::memory_order_acquire)) return;
       seen = epoch_.load(std::memory_order_acquire);
     }
-    participate(slot, seen);
+    // An even epoch is a closed launch: nothing to serve, and its
+    // successor's set-up may already be under way.
+    if (seen % 2 == 1) participate(slot, seen);
   }
 }
 
@@ -153,14 +155,15 @@ void ThreadPool::run_span(Slot& self,
 
 void ThreadPool::participate(unsigned slot, std::uint64_t launch_epoch) {
   active_.fetch_add(1, std::memory_order_seq_cst);
-  // Check in via active_, then verify the epoch we woke for is still the
-  // live one.  The acquire load synchronizes with the caller's epoch bump,
-  // so a matching epoch guarantees base_/grain_/ranges all belong to the
-  // launch we are about to serve; a stale epoch means that launch already
-  // drained (the caller only advances after active_ empties), so there is
-  // nothing left for us to do.
+  // Check in via active_, then verify the epoch we woke for is still open.
+  // This is one half of a Dekker pair with the caller, which closes the
+  // launch (epoch bump) and then waits for active_ to drain, both seq_cst:
+  // either the caller sees our check-in and waits for us, or we see the
+  // closed epoch here and touch nothing.  So a matching epoch guarantees
+  // base_/grain_/ranges/body_ all belong to the launch we are about to
+  // serve and stay untouched until we check out.
   const auto* body =
-      epoch_.load(std::memory_order_acquire) == launch_epoch
+      epoch_.load(std::memory_order_seq_cst) == launch_epoch
           ? body_.load(std::memory_order_acquire)
           : nullptr;
   if (body != nullptr) {
@@ -262,25 +265,31 @@ void ThreadPool::run_one_slice(std::size_t n,
   // lint: relaxed-ok(published by the release epoch bump below)
   remaining_.store(n, std::memory_order_relaxed);
   body_.store(&body, std::memory_order_release);
+  // Open the launch: the epoch turns odd.  No other thread can bump the
+  // epoch while we hold the launch mutex, so `open` names our own launch.
+  std::uint64_t open = 0;
   {
     std::scoped_lock lock(wake_mutex_);
-    epoch_.fetch_add(1, std::memory_order_acq_rel);  // one atomic publish
+    open = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
   wake_cv_.notify_all();
   // lint: relaxed-ok(stat counter; value-only)
   stat_launches_.fetch_add(1, std::memory_order_relaxed);
 
-  // The caller always helps; no other thread can bump the epoch while we
-  // hold the launch mutex, so this relaxed load names our own launch.
-  participate(static_cast<unsigned>(participants - 1),
-              // lint: relaxed-ok(own launch's epoch, guarded by launch_mutex_)
-              epoch_.load(std::memory_order_relaxed));
+  // The caller always helps, and returns only once every range is empty.
+  participate(static_cast<unsigned>(participants - 1), open);
 
+  // Close the launch (the epoch turns even) before waiting, so a worker
+  // that woke for it but checks in late finds it closed instead of reading
+  // the next launch's grain_/ranges/body_ while we rewrite them.  The
+  // seq_cst bump and the seq_cst active_ load below are the caller's half
+  // of the Dekker pair in participate(); sleeping workers need no wake-up.
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
   {
     std::unique_lock lock(done_mutex_);
     done_cv_.wait(lock, [&] {
       return remaining_.load(std::memory_order_acquire) == 0 &&
-             active_.load(std::memory_order_acquire) == 0;
+             active_.load(std::memory_order_seq_cst) == 0;
     });
   }
   body_.store(nullptr, std::memory_order_release);

@@ -86,7 +86,10 @@ class ThreadPool {
   std::vector<Slot> slots_;  // workers_.size() + 1; last slot is the caller
 
   // Launch publication: body/base/grain are written by the caller before the
-  // epoch bump and read by workers after they observe the new epoch.
+  // epoch bump that opens a launch and read by workers after they observe
+  // it.  Odd epochs are open launches, even ones closed: the caller closes
+  // each launch before it returns, so no late worker can read these fields
+  // while the next launch rewrites them.
   std::atomic<const std::function<void(std::size_t)>*> body_{nullptr};
   std::size_t base_ = 0;       // slice offset for > 32-bit iteration counts
   std::uint32_t grain_ = 1;    // owner-claim chunk size for this launch

@@ -551,14 +551,7 @@ TEST(ObsRoundTrip, MeasureWritesTraceMetricsAndManifest) {
   EXPECT_EQ(manifest.at("benchmark").str, "kmeans");
   EXPECT_EQ(manifest.at("size").str, "tiny");
   EXPECT_EQ(manifest.at("device").str, "i7-6700K");
-  // measure() resolves an unset MeasureOptions::dispatch through the
-  // EOD_DISPATCH hatch, so the recorded tier follows the environment
-  // (CI's simd-mode job runs this test under EOD_DISPATCH=simd).
-  EXPECT_EQ(manifest.at("dispatch").str,
-            xcl::to_string(xcl::default_dispatch_mode()));
-  if (const char* env = std::getenv("EOD_DISPATCH")) {
-    EXPECT_EQ(manifest.at("dispatch_env").str, env);
-  }
+  EXPECT_EQ(manifest.at("dispatch").str, "auto");
   EXPECT_EQ(manifest.at("samples").number, 5.0);
   EXPECT_FALSE(manifest.at("git_describe").str.empty());
   EXPECT_FALSE(manifest.at("timestamp").str.empty());

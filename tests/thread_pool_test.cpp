@@ -139,6 +139,31 @@ TEST(WorkStealingPool, ConcurrentLaunchesFromTwoThreadsSerialize) {
   EXPECT_EQ(total.load(), 2 * 20 * 100);
 }
 
+// Back-to-back launches of varying size from two threads.  A worker that
+// woke for one launch but checks in late must find it closed, never serve
+// the next one with a stale body or read its grain/ranges mid-rewrite;
+// under a ThreadSanitizer build (ctest -L sanitize) this is the regression
+// case for the launch close in run_one_slice().
+TEST(WorkStealingPool, BackToBackLaunchesFromTwoThreadsStress) {
+  ThreadPool pool(3);
+  constexpr std::size_t kLaunches = 1000;
+  std::atomic<int> miscounted{0};
+  auto burst = [&](std::size_t salt) {
+    std::vector<int> hits;
+    for (std::size_t i = 0; i < kLaunches; ++i) {
+      hits.assign(2 + (i * 7 + salt) % 97, 0);
+      pool.parallel_for(hits.size(), [&](std::size_t k) { hits[k]++; });
+      for (const int h : hits) {
+        if (h != 1) miscounted++;
+      }
+    }
+  };
+  std::thread other(burst, 1);
+  burst(0);
+  other.join();
+  EXPECT_EQ(miscounted.load(), 0);
+}
+
 // A barrier kernel whose result depends on cross-item __local traffic: each
 // item publishes into local memory, synchronizes, then combines a peer's
 // value.  Any scheduling- or arena-reuse bug shows up as a wrong lane.

@@ -193,9 +193,9 @@ TEST(ThreadPool, ZeroIterationsIsNoop) {
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
 }
 
-// --- Span tier (DESIGN.md §9) -------------------------------------------
+// --- Group bodies (DESIGN.md §9) ----------------------------------------
 
-// One RAII scope per test: span-tier tests must not leak a mode override
+// One RAII scope per test: group-body tests must not leak a mode override
 // into the rest of the suite.
 struct ScopedDispatchMode {
   explicit ScopedDispatchMode(DispatchMode m) { set_dispatch_mode(m); }
@@ -279,21 +279,20 @@ TEST(SpanTier, BarrierKernelWithSpanBodySkipsFibers) {
 TEST(SpanTier, ParseAndPrintModeNames) {
   EXPECT_EQ(parse_dispatch_mode("auto"), DispatchMode::kAuto);
   EXPECT_EQ(parse_dispatch_mode("item"), DispatchMode::kItem);
-  EXPECT_EQ(parse_dispatch_mode("span"), DispatchMode::kSpan);
-  EXPECT_EQ(parse_dispatch_mode("simd"), DispatchMode::kSimd);
   EXPECT_EQ(parse_dispatch_mode("checked"), DispatchMode::kChecked);
   EXPECT_FALSE(parse_dispatch_mode("fibers").has_value());
+  // The retired tier names fail like any unknown mode.
+  EXPECT_FALSE(parse_dispatch_mode("span").has_value());
+  EXPECT_FALSE(parse_dispatch_mode("simd").has_value());
   EXPECT_STREQ(to_string(DispatchMode::kAuto), "auto");
   EXPECT_STREQ(to_string(DispatchMode::kItem), "item");
-  EXPECT_STREQ(to_string(DispatchMode::kSpan), "span");
-  EXPECT_STREQ(to_string(DispatchMode::kSimd), "simd");
   EXPECT_STREQ(to_string(DispatchMode::kChecked), "checked");
   // The CLI error message and --help text are built from this list; every
   // parseable mode must appear in it.
-  EXPECT_STREQ(dispatch_mode_names(), "auto|item|span|simd|checked");
+  EXPECT_STREQ(dispatch_mode_names(), "auto|item|checked");
 }
 
-// Host allocations back the explicit-vector loads/stores of the simd tier;
+// Host allocations back the explicit-vector loads/stores of group bodies;
 // every Buffer must hand out 64-byte-aligned storage (a cache line, and
 // enough for any EOD_SIMD_WIDTH up to 16 floats) regardless of size.
 TEST(BufferAlignment, HostStorageIsCacheLineAligned) {
