@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace eod::bench {
 
 struct Percentiles {
@@ -82,7 +84,7 @@ class BenchReport {
 
   [[nodiscard]] std::string to_json() const {
     std::string out = "{\n  \"benchmark\": \"";
-    out += escape(benchmark_);
+    out += obs::json_escape(benchmark_);
     out += '"';
     // Built by append rather than `"lit" + std::string` chains: GCC 12's
     // -Wrestrict issues a false positive on small-literal concatenation
@@ -91,9 +93,9 @@ class BenchReport {
     for (std::size_t i = 0; i < config_.size(); ++i) {
       out += i ? ", " : "";
       out += '"';
-      out += escape(config_[i].first);
+      out += obs::json_escape(config_[i].first);
       out += "\": \"";
-      out += escape(config_[i].second);
+      out += obs::json_escape(config_[i].second);
       out += '"';
     }
     out += "},\n  \"metrics\": {";
@@ -101,7 +103,7 @@ class BenchReport {
       const Percentiles& p = metrics_[i].second;
       out += i ? ", " : "";
       out += '"';
-      out += escape(metrics_[i].first);
+      out += obs::json_escape(metrics_[i].first);
       out += "\": {\"median_ns\": ";
       out += number(p.median_ns);
       out += ", \"p10_ns\": ";
@@ -114,7 +116,7 @@ class BenchReport {
     for (std::size_t i = 0; i < values_.size(); ++i) {
       out += i ? ", " : "";
       out += '"';
-      out += escape(values_[i].first);
+      out += obs::json_escape(values_[i].first);
       out += "\": ";
       out += number(values_[i].second);
     }
@@ -137,20 +139,6 @@ class BenchReport {
   }
 
  private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out += c;
-    }
-    return out;
-  }
-
   static std::string number(double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.6g", v);

@@ -2,7 +2,9 @@
 // accesses/second for the seed per-access callback pipeline vs the batched
 // raw-page path vs the line-coalesced path, on a DRAM-resident streaming
 // trace (64 MiB sweep: misses every level of the Skylake hierarchy), plus
-// the single-generation multi-hierarchy fan-out across the whole testbed.
+// the single-generation multi-hierarchy fan-out across the whole testbed
+// and the single-hierarchy two-pass replay of a kmeans-style trace (the
+// per-cell miss path of counters_report).
 //
 // Items/s in the report IS accesses/s; the PR acceptance bar is coalesced
 // >= 10x the seed per-access rate.
@@ -205,6 +207,33 @@ void BM_FanOutAllHierarchies(benchmark::State& state) {
       static_cast<std::int64_t>(kAccessesPerSweep * specs.size() * 2));
 }
 BENCHMARK(BM_FanOutAllHierarchies)->Unit(benchmark::kMillisecond);
+
+// kmeans's inner loop: a streamed feature read alternating with a read of
+// a small resident centroid table on another page, so consecutive records
+// never share a line and the TLB sees a page change on every one.
+constexpr std::uint64_t kFeatureBase = 0x1000000;
+constexpr std::uint64_t kCentroidBase = 0x100000;
+constexpr std::uint64_t kCentroidFloats = 34 * 5;
+constexpr std::uint64_t kKmeansPairs = std::uint64_t{4} << 20;
+
+void generate_kmeans(TraceWriter& w) {
+  for (std::uint64_t i = 0; i < kKmeansPairs; ++i) {
+    w.emit(kFeatureBase + i * 4, 4, false);
+    w.emit(kCentroidBase + (i % kCentroidFloats) * 4, 4, false);
+  }
+}
+
+void BM_SingleHierarchyTwoPass(benchmark::State& state) {
+  // One hierarchy, cold + warm pass: what a memo miss costs per cell.
+  const std::vector<const DeviceSpec*> specs = {&skylake()};
+  for (auto _ : state) {
+    const auto entries = replay_hierarchies(generate_kmeans, specs);
+    benchmark::DoNotOptimize(entries.front().warm.tlb_dm);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kKmeansPairs * 2 * 2));
+}
+BENCHMARK(BM_SingleHierarchyTwoPass)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -36,20 +36,89 @@ CacheLevel::CacheLevel(std::size_t size_bytes, unsigned line_bytes,
   stamps_.assign(lines, 0);
 }
 
+TlbLru::TlbLru(unsigned entries) {
+  if (entries == 0) {
+    throw std::invalid_argument("TLB entry count must be positive");
+  }
+  // At least 4 slots per entry keeps probe runs short; a power of two so
+  // the multiplicative hash's top bits index a slot directly.
+  const unsigned bits = log2_pow2(std::size_t{4} * entries);
+  slot_shift_ = 64 - bits;
+  slot_mask_ = (std::size_t{1} << bits) - 1;
+  slot_page_.assign(slot_mask_ + 1, kEmpty);
+  slot_way_.assign(slot_mask_ + 1, 0);
+  way_page_.assign(entries, kEmpty);
+  prev_.assign(entries, kNone);
+  next_.assign(entries, kNone);
+}
+
+bool TlbLru::install(std::uint64_t page, std::size_t slot) noexcept {
+  std::uint32_t way = used_;
+  if (way < way_page_.size()) {
+    ++used_;
+  } else {
+    way = lru_;
+    unlink(way);
+    erase(way_page_[way]);
+    // The erase can free a slot earlier in this page's probe run, and a
+    // lookup stops at the first free slot: insert there.
+    slot = home(page);
+    while (slot_page_[slot] != kEmpty) slot = (slot + 1) & slot_mask_;
+  }
+  slot_page_[slot] = page;
+  slot_way_[slot] = way;
+  way_page_[way] = page;
+  push_front(way);
+  return false;
+}
+
+void TlbLru::erase(std::uint64_t page) noexcept {
+  std::size_t hole = home(page);
+  while (slot_page_[hole] != page) hole = (hole + 1) & slot_mask_;
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole when that does not move them before their home slot, so lookups
+  // never need tombstones.
+  for (std::size_t s = (hole + 1) & slot_mask_; slot_page_[s] != kEmpty;
+       s = (s + 1) & slot_mask_) {
+    const std::size_t from_home = (s - home(slot_page_[s])) & slot_mask_;
+    if (from_home >= ((s - hole) & slot_mask_)) {
+      slot_page_[hole] = slot_page_[s];
+      slot_way_[hole] = slot_way_[s];
+      hole = s;
+    }
+  }
+  slot_page_[hole] = kEmpty;
+}
+
+void TlbLru::unlink(std::uint32_t way) noexcept {
+  const std::uint32_t p = prev_[way];
+  const std::uint32_t n = next_[way];
+  (p == kNone ? mru_ : next_[p]) = n;
+  (n == kNone ? lru_ : prev_[n]) = p;
+}
+
+void TlbLru::push_front(std::uint32_t way) noexcept {
+  prev_[way] = kNone;
+  next_[way] = mru_;
+  (mru_ == kNone ? lru_ : prev_[mru_]) = way;
+  mru_ = way;
+}
+
 CacheHierarchy::CacheHierarchy(const DeviceSpec& spec, unsigned tlb_entries,
                                unsigned page_bytes)
     : l1_(spec.l1.size_bytes, spec.l1.line_bytes, spec.l1.associativity),
       l2_(spec.l2.size_bytes, spec.l2.line_bytes, spec.l2.associativity),
       // Data TLBs are (near-)fully associative; set-indexing one would
       // alias page-aligned array strides into false conflicts.
-      tlb_(static_cast<std::size_t>(tlb_entries) * page_bytes, page_bytes,
-           tlb_entries),
-      page_bytes_(page_bytes) {
+      tlb_(tlb_entries),
+      page_shift_(log2_pow2(page_bytes)) {
+  if (!is_pow2(page_bytes)) {
+    throw std::invalid_argument("page size must be a power of two");
+  }
   if (spec.l3.size_bytes != 0) {
     l3_.emplace(spec.l3.size_bytes, spec.l3.line_bytes,
                 spec.l3.associativity);
   }
-  page_shift_ = log2_pow2(page_bytes);
 }
 
 void CacheHierarchy::access(std::uint64_t address, std::uint32_t bytes,
@@ -62,7 +131,7 @@ void CacheHierarchy::access(std::uint64_t address, std::uint32_t bytes,
   for (std::uint64_t l = first; l <= last; ++l) {
     const std::uint64_t a = l << shift;
     ++counters_.total_accesses;
-    if (!tlb_.access(a >> page_shift_ << page_shift_)) ++counters_.tlb_dm;
+    if (!tlb_.touch(a >> page_shift_)) ++counters_.tlb_dm;
     if (l1_.access(a)) continue;
     ++counters_.l1_dcm;
     if (l2_.access(a)) continue;
@@ -88,23 +157,32 @@ void CacheHierarchy::consume(const MemAccess* page, std::size_t n) {
 
 void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
                                        std::size_t n) {
-  // Sequential fast path: one fused walk updates caches and TLB together,
-  // with every accumulator in a local -- the compiler cannot prove the
-  // member counters do not alias `page`, so member updates inside the loop
-  // would be reloaded on every record.  Levels share one clock here; each
-  // level only ever compares stamps within one of its own sets, so any
-  // strictly-increasing stamp source leaves the counters bit-identical to
-  // the split cache/TLB walks (verified by tests/cache_replay_test.cpp).
+  // One fused walk updates caches and TLB together, with every counter in
+  // a local -- the compiler cannot prove the member counters do not alias
+  // `page`, so member updates inside the loop would be reloaded on every
+  // record.  The cache levels share one clock here; each level only ever
+  // compares stamps within one of its own sets, so any strictly-increasing
+  // stamp source leaves the counters bit-identical to per-level clocks
+  // (verified by tests/cache_replay_test.cpp).
   const unsigned shift = l1_.line_shift();
   const unsigned line_to_page = page_shift_ - shift;
+  // Repeat fast-credit precondition: after one expansion of the span, every
+  // span line is still L1-resident (consecutive lines put at most
+  // ceil(span/sets) lines in a set, and older non-span lines are always the
+  // LRU victims while that stays <= associativity), and likewise every
+  // span page is still TLB-resident.  Spans emitted by TraceWriter are <= 2
+  // lines; this guard keeps the path exact for arbitrary hand-built records
+  // too.  Expanding either half expands both -- the expansion simulates
+  // exactly the guaranteed hits the credit would have claimed.
   const std::uint64_t safe_span = l1_.capacity_lines();
-  const std::uint64_t tlb_capacity = tlb_.capacity_lines();
+  const std::uint64_t tlb_capacity = tlb_.entries();
   CacheLevel* const l3 = l3_.has_value() ? &*l3_ : nullptr;
-  std::uint64_t clock =
-      std::max({l1_.clock(), l2_.clock(), l3 ? l3->clock() : std::uint64_t{0},
-                tlb_.clock()});
-  std::uint64_t total = 0, l1h = 0, l1m = 0, l2h = 0, l2m = 0, l3h = 0,
-                l3m = 0, tlbh = 0, tlbm = 0, l3t = 0;
+  std::uint64_t clock = std::max(
+      {l1_.clock(), l2_.clock(), l3 ? l3->clock() : std::uint64_t{0}});
+  std::uint64_t total = 0, l1m = 0, l2m = 0, l3t = 0, tlbm = 0;
+  // One-entry MRU filters: a re-touch of the most recent line/page is a
+  // guaranteed hit whose recency refresh cannot change any relative LRU
+  // order, so the walk is skipped (exact; same argument as coalescing).
   std::uint64_t last_line = ~0ull, last_page = ~0ull;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t address = page[i].address;
@@ -116,9 +194,6 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
     const std::uint64_t span = last - first + 1;
     const std::uint64_t span_pages =
         (last >> line_to_page) - (first >> line_to_page) + 1;
-    // Repeat fast-credit precondition (see replay_cache_shard); expanding
-    // either half expands both -- the expansion simulates exactly the
-    // guaranteed hits the credit would have claimed.
     const std::uint64_t passes =
         (repeats != 0 && (span > safe_span || span_pages > tlb_capacity))
             ? std::uint64_t{repeats} + 1
@@ -126,245 +201,37 @@ void CacheHierarchy::consume_coalesced(const CoalescedAccess* page,
     for (std::uint64_t p = 0; p < passes; ++p) {
       for (std::uint64_t l = first; l <= last; ++l) {
         ++total;
-        if (l == last_line) {
-          // Re-touch of the MRU line: guaranteed L1 and TLB hits.
-          ++l1h;
-          ++tlbh;
-          continue;
-        }
+        if (l == last_line) continue;  // MRU line: L1 and TLB hit
         last_line = l;
         ++clock;
         const std::uint64_t page_no = l >> line_to_page;
-        if (page_no == last_page) {
-          ++tlbh;
-        } else {
+        if (page_no != last_page) {
           last_page = page_no;
-          if (tlb_.touch_line(page_no, clock)) {
-            ++tlbh;
-          } else {
-            ++tlbm;
-          }
+          if (!tlb_.touch(page_no)) ++tlbm;
         }
-        if (l1_.touch_line(l, clock)) {
-          ++l1h;
-          continue;
-        }
+        if (l1_.touch_line(l, clock)) continue;
         ++l1m;
         const std::uint64_t a = l << shift;
-        if (l2_.touch_line(l2_.line_index(a), clock)) {
-          ++l2h;
+        if (l2_.touch_line(l2_.line_index(a), clock)) continue;
+        ++l2m;
+        if (l3 != nullptr && l3->touch_line(l3->line_index(a), clock)) {
           continue;
         }
-        ++l2m;
-        if (l3 != nullptr) {
-          if (l3->touch_line(l3->line_index(a), clock)) {
-            ++l3h;
-            continue;
-          }
-          ++l3m;
-        }
-        ++l3t;
+        ++l3t;  // no L3, or an L3 miss: a DRAM trip
       }
     }
-    if (passes == 1 && repeats != 0) {
-      const std::uint64_t extra = std::uint64_t{repeats} * span;
-      total += extra;
-      l1h += extra;
-      tlbh += extra;
-    }
+    // Repeats re-touch the span's lines and pages while they are still
+    // resident: guaranteed L1 and TLB hits.
+    if (passes == 1) total += std::uint64_t{repeats} * span;
   }
   counters_.total_accesses += total;
   counters_.l1_dcm += l1m;
   counters_.l2_dcm += l2m;
   counters_.l3_tcm += l3t;
   counters_.tlb_dm += tlbm;
-  l1_.credit(l1h, l1m);
-  l2_.credit(l2h, l2m);
-  if (l3 != nullptr) l3->credit(l3h, l3m);
-  tlb_.credit(tlbh, tlbm);
   l1_.advance_clock(clock);
   l2_.advance_clock(clock);
   if (l3 != nullptr) l3->advance_clock(clock);
-  tlb_.advance_clock(clock);
-}
-
-ReplayShardCounters CacheHierarchy::make_shard() const noexcept {
-  ReplayShardCounters acc;
-  acc.clock = std::max({l1_.clock(), l2_.clock(),
-                        l3_ ? l3_->clock() : std::uint64_t{0},
-                        tlb_.clock()});
-  return acc;
-}
-
-void CacheHierarchy::replay_cache_shard(const CoalescedAccess* page,
-                                        std::size_t n, unsigned shard,
-                                        unsigned shard_count,
-                                        ReplayShardCounters& acc) {
-  const unsigned shift = l1_.line_shift();
-  // Repeat fast-credit precondition: after one expansion of the span, every
-  // span line is still L1-resident (consecutive lines put at most
-  // ceil(span/sets) lines in a set, and older non-span lines are always the
-  // LRU victims while that stays <= associativity).  Spans emitted by
-  // TraceWriter are <= 2 lines; this guard keeps the path exact for
-  // arbitrary hand-built records too.
-  const std::uint64_t safe_span = l1_.capacity_lines();
-  CacheLevel* const l3 = l3_.has_value() ? &*l3_ : nullptr;
-  // Work in locals: member/acc updates inside the loop would be reloaded
-  // every record (the compiler cannot prove they do not alias `page`).
-  std::uint64_t clock = acc.clock;
-  std::uint64_t last_line = acc.last_line;
-  std::uint64_t total = 0, l1h = 0, l1m = 0, l2h = 0, l2m = 0, l3h = 0,
-                l3m = 0, l3t = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CoalescedAccess& e = page[i];
-    const std::uint64_t first = e.address >> shift;
-    const std::uint64_t last =
-        (e.address + (e.bytes == 0 ? 0 : e.bytes - 1)) >> shift;
-    const std::uint64_t span = last - first + 1;
-    const std::uint64_t passes =
-        (e.repeats != 0 && span > safe_span) ? std::uint64_t{e.repeats} + 1
-                                             : 1;
-    std::uint64_t my_lines = 0;
-    for (std::uint64_t p = 0; p < passes; ++p) {
-      my_lines = 0;
-      for (std::uint64_t l = first; l <= last; ++l) {
-        if (shard_count > 1 && (l % shard_count) != shard) continue;
-        ++my_lines;
-        ++total;
-        if (l == last_line) {
-          // Re-touch of this shard's most recent line: guaranteed L1 hit
-          // (only other sets were touched in between); the skipped stamp
-          // refresh cannot change any relative LRU order.
-          ++l1h;
-          continue;
-        }
-        last_line = l;
-        const std::uint64_t a = l << shift;
-        if (l1_.touch_line(l, ++clock)) {
-          ++l1h;
-          continue;
-        }
-        ++l1m;
-        if (l2_.touch_line(l2_.line_index(a), clock)) {
-          ++l2h;
-          continue;
-        }
-        ++l2m;
-        if (l3 != nullptr) {
-          if (l3->touch_line(l3->line_index(a), clock)) {
-            ++l3h;
-            continue;
-          }
-          ++l3m;
-        }
-        ++l3t;
-      }
-    }
-    if (passes == 1 && e.repeats != 0) {
-      // Every repeat re-touches the span's lines while they are still the
-      // most recently used lines of their sets: guaranteed L1 hits.
-      total += std::uint64_t{e.repeats} * my_lines;
-      l1h += std::uint64_t{e.repeats} * my_lines;
-    }
-  }
-  acc.clock = clock;
-  acc.last_line = last_line;
-  acc.counters.total_accesses += total;
-  acc.counters.l1_dcm += l1m;
-  acc.counters.l2_dcm += l2m;
-  acc.counters.l3_tcm += l3t;
-  acc.l1_hits += l1h;
-  acc.l1_misses += l1m;
-  acc.l2_hits += l2h;
-  acc.l2_misses += l2m;
-  acc.l3_hits += l3h;
-  acc.l3_misses += l3m;
-}
-
-void CacheHierarchy::replay_tlb_shard(const CoalescedAccess* page,
-                                      std::size_t n,
-                                      ReplayShardCounters& acc) {
-  const unsigned shift = l1_.line_shift();
-  const unsigned line_to_page = page_shift_ - shift;
-  const std::uint64_t tlb_capacity = tlb_.capacity_lines();
-  // Locals for the same aliasing reason as replay_cache_shard.
-  std::uint64_t clock = acc.clock;
-  std::uint64_t last_page = acc.last_page;
-  std::uint64_t tlbh = 0, tlbm = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CoalescedAccess& e = page[i];
-    const std::uint64_t first = e.address >> shift;
-    const std::uint64_t last =
-        (e.address + (e.bytes == 0 ? 0 : e.bytes - 1)) >> shift;
-    const std::uint64_t span = last - first + 1;
-    const std::uint64_t span_pages =
-        (last >> line_to_page) - (first >> line_to_page) + 1;
-    const std::uint64_t passes =
-        (e.repeats != 0 && span_pages > tlb_capacity)
-            ? std::uint64_t{e.repeats} + 1
-            : 1;
-    for (std::uint64_t p = 0; p < passes; ++p) {
-      for (std::uint64_t l = first; l <= last; ++l) {
-        const std::uint64_t page_no = l >> line_to_page;
-        if (page_no == last_page) {
-          ++tlbh;  // consecutive same-page touch: guaranteed hit
-          continue;
-        }
-        last_page = page_no;
-        if (tlb_.touch_line(page_no, ++clock)) {
-          ++tlbh;
-        } else {
-          ++tlbm;
-        }
-      }
-    }
-    if (passes == 1 && e.repeats != 0) {
-      // Repeats re-touch pages that are still TLB-resident (span fits).
-      tlbh += std::uint64_t{e.repeats} * span;
-    }
-  }
-  acc.clock = clock;
-  acc.last_page = last_page;
-  acc.tlb_hits += tlbh;
-  acc.tlb_misses += tlbm;
-  acc.counters.tlb_dm += tlbm;
-}
-
-void CacheHierarchy::fold_shard(const ReplayShardCounters& acc) {
-  counters_.total_accesses += acc.counters.total_accesses;
-  counters_.l1_dcm += acc.counters.l1_dcm;
-  counters_.l2_dcm += acc.counters.l2_dcm;
-  counters_.l3_tcm += acc.counters.l3_tcm;
-  counters_.tlb_dm += acc.counters.tlb_dm;
-  l1_.credit(acc.l1_hits, acc.l1_misses);
-  l2_.credit(acc.l2_hits, acc.l2_misses);
-  if (l3_) l3_->credit(acc.l3_hits, acc.l3_misses);
-  tlb_.credit(acc.tlb_hits, acc.tlb_misses);
-  l1_.advance_clock(acc.clock);
-  l2_.advance_clock(acc.clock);
-  if (l3_) l3_->advance_clock(acc.clock);
-  tlb_.advance_clock(acc.clock);
-}
-
-unsigned CacheHierarchy::max_replay_shards() const noexcept {
-  // Partitioning lines by (line % shard_count) is exact only when one line
-  // index addresses every level and shard_count divides every set count:
-  // then lines of shard phi touch only sets congruent to phi at each level,
-  // so shards never share replacement state.
-  if (l2_.line_bytes() != l1_.line_bytes()) return 1;
-  if (l3_ && l3_->line_bytes() != l1_.line_bytes()) return 1;
-  std::size_t sets = l1_.sets() | l2_.sets();
-  if (l3_) sets |= l3_->sets();
-  const std::size_t lowbit = sets & (~sets + 1);
-  return static_cast<unsigned>(std::min<std::size_t>(lowbit, 64));
-}
-
-void CacheHierarchy::reset() {
-  l1_.reset_counters();
-  l2_.reset_counters();
-  if (l3_) l3_->reset_counters();
-  tlb_.reset_counters();
-  counters_ = {};
 }
 
 double CacheHierarchy::l1_miss_rate() const noexcept {

@@ -6,17 +6,20 @@
 // verification capability for the simulated testbed: replay a benchmark's
 // memory trace through a device's hierarchy and read the miss counters.
 //
+// The caches are set-associative LRU levels (CacheLevel); the data TLB is
+// an exact fully associative LRU over page numbers (TlbLru) whose touch is
+// O(1) -- a hashed page->way index plus a recency list -- instead of a
+// 64-way tag and stamp scan per page change.
+//
 // Replay interfaces, fastest first:
 //   * consume_coalesced(): pages of line-coalesced records (see
 //     sim/trace_replay.hpp) -- run-length repeats of a cache line are
-//     counted as guaranteed hits without a lookup.
-//   * replay_cache_shard()/replay_tlb_shard(): the set-partitioned halves
-//     of a coalesced replay, for running one hierarchy across several
-//     workers (sets are independent under LRU, so lines can be partitioned
-//     by line % shard_count without changing any counter).
+//     counted as guaranteed hits without a lookup.  One fused sequential
+//     walk per hierarchy; several hierarchies run in parallel.
 //   * consume()/replay()/access(): batched and per-access raw replay.
 // All paths produce bit-identical HierarchyCounters (enforced by
-// tests/cache_replay_test.cpp against the per-access reference).
+// tests/cache_replay_test.cpp against an independent stamped-scan
+// reference).
 #pragma once
 
 #include <cstdint>
@@ -68,8 +71,8 @@ class CacheLevel {
 
   /// LRU state transition only -- no counter updates.  `stamp` must be
   /// strictly increasing over successive touches of any one set (the
-  /// internal clock for sequential use, or a shard-private clock for
-  /// set-partitioned parallel replay).  Returns true on hit.
+  /// internal clock, or the shared clock of a fused hierarchy walk).
+  /// Returns true on hit.
   bool touch_line(std::uint64_t line, std::uint64_t stamp) noexcept {
     const std::size_t set =
         sets_pow2_ ? static_cast<std::size_t>(line & set_mask_)
@@ -87,13 +90,6 @@ class CacheLevel {
     tags[victim] = line;
     stamps[victim] = stamp;
     return false;
-  }
-
-  /// Folds externally-counted hits/misses (repeat credits, shard-local
-  /// accumulators) into this level's counters.
-  void credit(std::uint64_t hits, std::uint64_t misses) noexcept {
-    hits_ += hits;
-    misses_ += misses;
   }
 
   [[nodiscard]] std::uint64_t line_index(std::uint64_t address) const
@@ -123,7 +119,6 @@ class CacheLevel {
   void advance_clock(std::uint64_t to) noexcept {
     if (to > clock_) clock_ = to;
   }
-  void reset_counters() noexcept { hits_ = misses_ = 0; }
 
  private:
   unsigned line_bytes_;
@@ -139,6 +134,61 @@ class CacheLevel {
   std::uint64_t clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+};
+
+/// Exact fully associative LRU over page numbers: the data TLB.  A touch
+/// costs O(1) whatever the entry count -- an open-addressed page->way index
+/// (linear probing, backward-shift deletion, load factor <= 1/4) plus a
+/// doubly linked recency list over the ways -- and nothing allocates after
+/// construction.  Hits and misses are those of any exact LRU of the same
+/// capacity, e.g. a `CacheLevel` with one set of `entries` ways.
+class TlbLru {
+ public:
+  explicit TlbLru(unsigned entries);
+
+  /// Touches `page`; returns true on hit.  On a miss the page is installed,
+  /// evicting the least recently used one once every entry is in use.
+  bool touch(std::uint64_t page) noexcept {
+    std::size_t slot = home(page);
+    while (slot_page_[slot] != page) {
+      if (slot_page_[slot] == kEmpty) return install(page, slot);
+      slot = (slot + 1) & slot_mask_;
+    }
+    const std::uint32_t way = slot_way_[slot];
+    if (way != mru_) {
+      unlink(way);
+      push_front(way);
+    }
+    return true;
+  }
+
+  [[nodiscard]] unsigned entries() const noexcept {
+    return static_cast<unsigned>(way_page_.size());
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~0ull;  // never a page number
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  [[nodiscard]] std::size_t home(std::uint64_t page) const noexcept {
+    return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ull) >>
+                                    slot_shift_);
+  }
+  bool install(std::uint64_t page, std::size_t slot) noexcept;
+  void erase(std::uint64_t page) noexcept;
+  void unlink(std::uint32_t way) noexcept;
+  void push_front(std::uint32_t way) noexcept;
+
+  std::vector<std::uint64_t> slot_page_;  // kEmpty = free slot
+  std::vector<std::uint32_t> slot_way_;
+  std::vector<std::uint64_t> way_page_;   // page held by each way
+  std::vector<std::uint32_t> prev_;       // toward the MRU end
+  std::vector<std::uint32_t> next_;       // toward the LRU end
+  std::size_t slot_mask_ = 0;
+  unsigned slot_shift_ = 0;
+  std::uint32_t used_ = 0;  // ways filled so far (fill order 0, 1, ...)
+  std::uint32_t mru_ = kNone;
+  std::uint32_t lru_ = kNone;
 };
 
 /// Counter names mirroring the PAPI events collected in the paper.
@@ -157,23 +207,6 @@ struct HierarchyCounters {
   }
 };
 
-/// Shard-local accumulator for set-partitioned parallel replay: every
-/// counter a replay would normally bump, collected privately (no shared
-/// writes) and folded once per pass via fold_shard().
-struct ReplayShardCounters {
-  HierarchyCounters counters;
-  std::uint64_t l1_hits = 0, l1_misses = 0;
-  std::uint64_t l2_hits = 0, l2_misses = 0;
-  std::uint64_t l3_hits = 0, l3_misses = 0;
-  std::uint64_t tlb_hits = 0, tlb_misses = 0;
-  std::uint64_t clock = 0;  ///< shard-private LRU stamp source
-  // One-entry MRU filters: a re-touch of the most recent line/page is a
-  // guaranteed hit whose stamp refresh cannot change any relative LRU
-  // order, so the walk is skipped (exact; same argument as coalescing).
-  std::uint64_t last_line = ~0ull;
-  std::uint64_t last_page = ~0ull;
-};
-
 /// L1 -> L2 [-> L3] -> DRAM plus a data TLB, built from a DeviceSpec.
 class CacheHierarchy {
  public:
@@ -190,34 +223,13 @@ class CacheHierarchy {
   /// Batched line-coalesced replay (repeats credited as guaranteed hits).
   void consume_coalesced(const CoalescedAccess* page, std::size_t n);
 
-  /// Set-partitioned parallel replay, cache-level half: processes only the
-  /// lines with line % shard_count == shard (shard_count must divide
-  /// max_replay_shards()).  Touches no shared counter; accumulate into
-  /// `acc` and fold_shard() once per pass.  The TLB/total half is
-  /// replay_tlb_shard() (the TLB is fully associative, so it cannot be
-  /// set-partitioned and runs as its own unit).
-  void replay_cache_shard(const CoalescedAccess* page, std::size_t n,
-                          unsigned shard, unsigned shard_count,
-                          ReplayShardCounters& acc);
-  void replay_tlb_shard(const CoalescedAccess* page, std::size_t n,
-                        ReplayShardCounters& acc);
-  void fold_shard(const ReplayShardCounters& acc);
-
-  /// Fresh shard accumulator whose private clock starts above every stamp
-  /// currently stored in any level, so a replay pass started mid-lifetime
-  /// (e.g. a warm pass after a cold pass) keeps stamps monotonic per set.
-  [[nodiscard]] ReplayShardCounters make_shard() const noexcept;
-
-  /// Largest power-of-two shard count for which set partitioning is exact:
-  /// divides every level's set count, provided all levels share one line
-  /// size (otherwise 1: a single line index must address every level).
-  [[nodiscard]] unsigned max_replay_shards() const noexcept;
-
   [[nodiscard]] const HierarchyCounters& counters() const noexcept {
     return counters_;
   }
   [[nodiscard]] bool has_l3() const noexcept { return l3_.has_value(); }
-  void reset();
+  /// Zeroes the counters; cache and TLB contents survive (the warm pass of
+  /// the two-pass protocol starts from the cold pass's final state).
+  void reset() noexcept { counters_ = {}; }
 
   /// Misses per instruction-style rates, normalised by total accesses (the
   /// paper normalises by PAPI_TOT_INS; accesses are our closest analogue).
@@ -229,8 +241,7 @@ class CacheHierarchy {
   CacheLevel l1_;
   CacheLevel l2_;
   std::optional<CacheLevel> l3_;
-  CacheLevel tlb_;  // modeled as a cache of page numbers
-  unsigned page_bytes_;
+  TlbLru tlb_;
   unsigned page_shift_;
   HierarchyCounters counters_;
 };

@@ -1,15 +1,18 @@
 // Property tests for the high-throughput trace-replay engine: every replay
-// path (batched raw, line-coalesced, set-partitioned shards, multi-
-// hierarchy fan-out) must produce HierarchyCounters bit-identical to the
-// seed per-access reference replay -- on randomized traces spanning the
-// residence regimes of all 15 testbed hierarchies.
+// path (per-access, batched raw, line-coalesced, multi-hierarchy fan-out)
+// must produce HierarchyCounters bit-identical to an independent seed-style
+// reference replay -- on randomized traces spanning the residence regimes
+// of all 15 testbed hierarchies.  The O(1) TLB is checked against a
+// stamped-scan LRU touch by touch.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,26 +28,99 @@ namespace eod::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference: the seed pipeline replayed one MemAccess at a time through
-// CacheHierarchy::access().  Every engine path must match it bit for bit.
+// Reference: the seed pipeline, rebuilt here so it shares no code with the
+// engine -- stamped-scan LRU sets indexed by division and modulo, and a
+// 64-way stamped-scan TLB -- replayed one MemAccess at a time.  Every
+// engine path must match it bit for bit.
+
+/// `sets` x `ways` LRU: a touch scans its set's tags and, on a miss,
+/// replaces the way with the oldest last-use stamp.
+class StampedLru {
+ public:
+  StampedLru(std::size_t sets, unsigned ways)
+      : sets_(sets), ways_(ways), tags_(sets * ways, ~0ull),
+        stamps_(sets * ways, 0) {}
+
+  bool touch(std::uint64_t key) {
+    ++clock_;
+    const std::size_t base = static_cast<std::size_t>(key % sets_) * ways_;
+    std::size_t victim = base;
+    for (std::size_t w = base; w < base + ways_; ++w) {
+      if (tags_[w] == key) {
+        stamps_[w] = clock_;
+        return true;
+      }
+      if (stamps_[w] < stamps_[victim]) victim = w;
+    }
+    tags_[victim] = key;
+    stamps_[victim] = clock_;
+    return false;
+  }
+
+ private:
+  std::size_t sets_;
+  unsigned ways_;
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t clock_ = 0;
+};
+
+StampedLru stamped_level(const CacheLevelSpec& c) {
+  return StampedLru(c.size_bytes / c.line_bytes / c.associativity,
+                    c.associativity);
+}
+
+class ReferenceHierarchy {
+ public:
+  explicit ReferenceHierarchy(const DeviceSpec& spec)
+      : spec_(spec), l1_(stamped_level(spec.l1)), l2_(stamped_level(spec.l2)),
+        tlb_(1, 64) {
+    if (spec.l3.size_bytes != 0) l3_.emplace(stamped_level(spec.l3));
+  }
+
+  void access(std::uint64_t address, std::uint32_t bytes) {
+    const std::uint64_t line = spec_.l1.line_bytes;
+    const std::uint64_t last = (address + (bytes == 0 ? 0 : bytes - 1)) / line;
+    for (std::uint64_t l = address / line; l <= last; ++l) {
+      const std::uint64_t a = l * line;
+      ++counters.total_accesses;
+      if (!tlb_.touch(a / 4096)) ++counters.tlb_dm;
+      if (l1_.touch(a / spec_.l1.line_bytes)) continue;
+      ++counters.l1_dcm;
+      if (l2_.touch(a / spec_.l2.line_bytes)) continue;
+      ++counters.l2_dcm;
+      if (l3_ && l3_->touch(a / spec_.l3.line_bytes)) continue;
+      ++counters.l3_tcm;
+    }
+  }
+
+  HierarchyCounters counters;
+
+ private:
+  const DeviceSpec& spec_;
+  StampedLru l1_;
+  StampedLru l2_;
+  std::optional<StampedLru> l3_;
+  StampedLru tlb_;
+};
 
 HierarchyCounters reference_replay(const MemoryTrace& trace,
                                    const DeviceSpec& spec) {
-  CacheHierarchy h(spec);
-  for (const MemAccess& a : trace) h.access(a.address, a.bytes, a.is_write);
-  return h.counters();
+  ReferenceHierarchy h(spec);
+  for (const MemAccess& a : trace) h.access(a.address, a.bytes);
+  return h.counters;
 }
 
 ReplayMemoEntry reference_two_pass(const MemoryTrace& trace,
                                    const DeviceSpec& spec) {
   // The seed cold/warm protocol: replay, read, reset counters (cache state
   // survives), replay, read.
-  CacheHierarchy h(spec);
+  ReferenceHierarchy h(spec);
   ReplayMemoEntry e;
   for (int pass = 0; pass < 2; ++pass) {
-    if (pass == 1) h.reset();
-    for (const MemAccess& a : trace) h.access(a.address, a.bytes, a.is_write);
-    (pass == 0 ? e.cold : e.warm) = h.counters();
+    if (pass == 1) h.counters = {};
+    for (const MemAccess& a : trace) h.access(a.address, a.bytes);
+    (pass == 0 ? e.cold : e.warm) = h.counters;
   }
   e.accesses = trace.size();
   return e;
@@ -183,36 +259,25 @@ TEST(CacheReplay, CoalescedBitIdenticalToPerAccessOnAllDevices) {
   }
 }
 
-TEST(CacheReplay, ShardedBitIdenticalToPerAccess) {
-  const MemoryTrace trace = random_trace(7);
-  // Collect the coalesced stream once.
-  std::vector<CoalescedAccess> records;
-  struct Collect final : CoalescedSink {
-    std::vector<CoalescedAccess>* out;
-    void consume(const CoalescedAccess* page, std::size_t n) override {
-      out->insert(out->end(), page, page + n);
+TEST(CacheReplay, SingleSpecReplayBitIdenticalOnOneAndThreeWorkers) {
+  // One hierarchy per call: the path counters_report's per-cell misses
+  // take.  It replays sequentially whatever the pool size.
+  for (const unsigned workers : {1u, 3u}) {
+    xcl::ThreadPool pool(workers);
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      const MemoryTrace trace = random_trace(seed);
+      for (const DeviceSpec* spec : all_specs()) {
+        const std::vector<ReplayMemoEntry> got =
+            replay_hierarchies(generator_of(trace), {spec}, pool);
+        ASSERT_EQ(got.size(), 1u);
+        const ReplayMemoEntry want = reference_two_pass(trace, *spec);
+        const std::string ctx = spec->name + " seed=" + std::to_string(seed) +
+                                " workers=" + std::to_string(workers);
+        expect_counters_eq(got[0].cold, want.cold, ctx + " cold");
+        expect_counters_eq(got[0].warm, want.warm, ctx + " warm");
+        EXPECT_EQ(got[0].accesses, trace.size()) << ctx;
+      }
     }
-  } collect;
-  collect.out = &records;
-  {
-    TraceWriter writer(collect);
-    generator_of(trace)(writer);
-    writer.finish();
-  }
-  for (const DeviceSpec* spec : all_specs()) {
-    CacheHierarchy probe(*spec);
-    const unsigned shards = probe.max_replay_shards();
-    if (shards < 2) continue;
-    const HierarchyCounters want = reference_replay(trace, *spec);
-    CacheHierarchy h(*spec);
-    std::vector<ReplayShardCounters> accs(shards + 1, h.make_shard());
-    for (unsigned s = 0; s < shards; ++s) {
-      h.replay_cache_shard(records.data(), records.size(), s, shards,
-                           accs[s]);
-    }
-    h.replay_tlb_shard(records.data(), records.size(), accs[shards]);
-    for (const ReplayShardCounters& acc : accs) h.fold_shard(acc);
-    expect_counters_eq(h.counters(), want, spec->name + " sharded");
   }
 }
 
@@ -292,15 +357,13 @@ TEST(CacheReplay, HandBuiltRepeatRecordsExactEvenForHugeSpans) {
       {0x20000, 64, 5},          // small span: credited
       {0x20000, 128, 0},
   };
-  CacheHierarchy ref(spec);
+  ReferenceHierarchy ref(spec);
   for (const CoalescedAccess& r : records) {
-    for (std::uint32_t k = 0; k <= r.repeats; ++k) {
-      ref.access(r.address, r.bytes, false);
-    }
+    for (std::uint32_t k = 0; k <= r.repeats; ++k) ref.access(r.address, r.bytes);
   }
   CacheHierarchy h(spec);
   h.consume_coalesced(records.data(), records.size());
-  expect_counters_eq(h.counters(), ref.counters(), "huge-span records");
+  expect_counters_eq(h.counters(), ref.counters, "huge-span records");
 }
 
 TEST(CacheReplay, WriterFlushesAcrossPageBoundaries) {
@@ -346,6 +409,72 @@ TEST(CacheReplay, TraceKeyIsOrderAndContentSensitive) {
   EXPECT_EQ(ka, ka2);
   EXPECT_EQ(ka.accesses, a.size());
   EXPECT_FALSE(ka == kb);
+}
+
+// ---------------------------------------------------------------------------
+// TlbLru: the O(1) fully associative LRU must agree with a one-set
+// stamped-scan LRU of the same capacity on every touch.
+
+void expect_tlb_matches_stamped(unsigned entries,
+                                const std::vector<std::uint64_t>& pages,
+                                const std::string& context) {
+  TlbLru tlb(entries);
+  StampedLru ref(1, entries);
+  std::uint64_t misses = 0;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    const bool want = ref.touch(pages[i]);
+    ASSERT_EQ(tlb.touch(pages[i]), want)
+        << context << ": touch " << i << " of page " << pages[i];
+    misses += want ? 0 : 1;
+  }
+  // Each stream must exercise both outcomes, not just one of them.
+  EXPECT_GT(misses, 0u) << context;
+  EXPECT_LT(misses, pages.size()) << context;
+}
+
+TEST(TlbLru, MatchesStampedLruOnRandomPageStreams) {
+  std::mt19937_64 rng(15);
+  for (const unsigned entries : {64u, 48u, 1u}) {
+    const std::string n = " entries=" + std::to_string(entries);
+    // Hot set under the capacity: cold misses, then hits only.
+    {
+      const std::uint64_t hot = entries > 1 ? entries - entries / 4 : 1;
+      std::uniform_int_distribution<std::uint64_t> page(0, hot - 1);
+      std::vector<std::uint64_t> pages;
+      for (int i = 0; i < 20000; ++i) pages.push_back(0x4000 + page(rng));
+      expect_tlb_matches_stamped(entries, pages, "hot set" + n);
+    }
+    // Churn over the capacity: random pages from a window of 1-4x the
+    // entries (evictions, probe runs, backward-shift deletions), plus a
+    // cyclic sweep one page wider than the TLB (every touch a miss) and
+    // sparse 48-bit page numbers.
+    for (const std::uint64_t window : {entries + 1ull, 2ull * entries + 3,
+                                       4ull * entries + 7}) {
+      std::uniform_int_distribution<std::uint64_t> page(0, window - 1);
+      std::vector<std::uint64_t> pages;
+      for (int i = 0; i < 20000; ++i) pages.push_back(page(rng) * 4099);
+      for (int sweep = 0; sweep < 4; ++sweep) {
+        for (std::uint64_t p = 0; p <= entries; ++p) pages.push_back(p);
+      }
+      std::uniform_int_distribution<std::uint64_t> sparse(0, (1ull << 40) - 1);
+      std::vector<std::uint64_t> pool_pages(window);
+      for (std::uint64_t& p : pool_pages) p = sparse(rng) << 8;
+      for (int i = 0; i < 20000; ++i) pages.push_back(pool_pages[page(rng)]);
+      expect_tlb_matches_stamped(
+          entries, pages, "churn window=" + std::to_string(window) + n);
+    }
+    // kmeans: a streamed feature page alternates with a resident centroid
+    // page on every access, the feature page advancing every 1024 touches.
+    if (entries >= 2) {
+      std::vector<std::uint64_t> pages;
+      for (std::uint64_t i = 0; i < 200000; ++i) {
+        pages.push_back(0x1000 + i / 1024);
+        pages.push_back(0x90000);
+      }
+      expect_tlb_matches_stamped(entries, pages, "kmeans pair" + n);
+    }
+  }
+  EXPECT_THROW(TlbLru(0), std::invalid_argument);
 }
 
 TEST(ReplayCacheTest, MemoizesAndRoundTripsThroughDisk) {

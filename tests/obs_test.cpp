@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "../bench/bench_json.hpp"
 #include "dwarfs/lud/lud.hpp"
 #include "dwarfs/registry.hpp"
 #include "harness/partition.hpp"
@@ -341,6 +342,27 @@ TEST(Metrics, SnapshotRendersTsvAndJson) {
   (void)parse_json_or_fail(read_file(json_path));
   std::remove(tsv_path.c_str());
   std::remove(json_path.c_str());
+}
+
+TEST(Metrics, BenchReportEscapesControlCharacters) {
+  // The bench writer shares json_escape: a tab or newline in a label must
+  // come out escaped, never raw inside a JSON string.
+  bench::BenchReport report("esc\ttest");
+  report.config("device\tname", "line\nbreak \"quoted\" back\\slash");
+  report.value("v\x01", 1.5);
+  const std::string json = report.to_json();
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    if (json[i] != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(json[i]), 0x20) << "byte " << i;
+    }
+  }
+  EXPECT_NE(json.find("esc\\u0009test"), std::string::npos) << json;
+  EXPECT_NE(json.find("line\\u000abreak \\\"quoted\\\" back\\\\slash"),
+            std::string::npos)
+      << json;
+  const JsonValue j = parse_json_or_fail(json);
+  EXPECT_EQ(j.at("values").object.size(), 1u);
+  EXPECT_EQ(j.at("speedup").number, 0.0);
 }
 
 // ---- trace recorder ------------------------------------------------------
